@@ -1,6 +1,6 @@
 // Command mlcdd serves MLCD as an HTTP service — the MLaaS front door:
 //
-//	mlcdd -addr :9090 -workers 4 -journal mlcdd.journal &
+//	mlcdd -addr :9090 -workers 4 -journal-dir mlcdd-journal &
 //	curl -XPOST localhost:9090/v1/jobs -d '{"job":"resnet-cifar10","budget_usd":100}'
 //	curl localhost:9090/v1/jobs/job-0001
 //	curl -XDELETE localhost:9090/v1/jobs/job-0001
@@ -8,18 +8,18 @@
 //	curl localhost:9090/v1/health
 //
 // Submissions flow through a bounded queue into -workers concurrent
-// deployment searches sharing one profiling cache. With -journal set,
-// every submission and probe is persisted and a restarted daemon
-// resumes unfinished jobs without re-profiling. On SIGINT/SIGTERM the
-// daemon drains in-flight HTTP requests, gives running searches
-// -drain-timeout to finish, then cancels them (journaled jobs are
-// recovered on the next start).
+// deployment searches sharing one profiling cache. With -journal-dir
+// set, every submission and probe is persisted to a segmented journal
+// in that directory (rotating segments plus a snapshot compacted every
+// -compact-every) and a restarted daemon resumes unfinished jobs
+// without re-profiling. On SIGINT/SIGTERM the daemon drains in-flight
+// HTTP requests, gives running searches -drain-timeout to finish, then
+// cancels them (journaled jobs are recovered on the next start).
 //
 // With -shards N (N >= 2) the daemon runs the sharded control plane:
 // tenants are routed across N independent scheduler shards by
-// consistent hashing, each journaling to its own segmented directory
-// under -journal-dir and compacted in the background every
-// -compact-every:
+// consistent hashing, each journaling to its own directory under
+// -journal-dir:
 //
 //	mlcdd -addr :9090 -shards 4 -workers 2 -journal-dir /var/lib/mlcdd -compact-every 1m
 //
@@ -67,7 +67,6 @@ func main() {
 		seed         = flag.Int64("seed", 1, "simulation seed")
 		workers      = flag.Int("workers", 2, "concurrent deployment searches")
 		queueSize    = flag.Int("queue", 64, "max queued submissions before 429")
-		journal      = flag.String("journal", "", "crash-safe journal path (empty = none; single scheduler only)")
 		shards       = flag.Int("shards", 1, "scheduler shards; >= 2 enables the sharded control plane")
 		journalDir   = flag.String("journal-dir", "", "segmented journal directory (per shard when sharded; empty = none)")
 		compactEvery = flag.Duration("compact-every", 0, "background journal compaction cadence (0 = on demand only)")
@@ -116,7 +115,6 @@ func main() {
 	server, err := mlcdapi.NewServerWithConfig(sys, mlcdapi.ServerConfig{
 		Workers:       *workers,
 		QueueSize:     *queueSize,
-		JournalPath:   *journal,
 		Shards:        *shards,
 		JournalDir:    *journalDir,
 		CompactEvery:  *compactEvery,
@@ -152,9 +150,6 @@ func main() {
 		fmt.Printf("mlcdd: MLaaS deployment service on %s (%d shards × %d workers)\n", *addr, *shards, *workers)
 	} else {
 		fmt.Printf("mlcdd: MLaaS deployment service on %s (%d workers)\n", *addr, *workers)
-	}
-	if *journal != "" {
-		fmt.Printf("mlcdd: journaling to %s\n", *journal)
 	}
 	if *journalDir != "" {
 		fmt.Printf("mlcdd: segmented journals under %s\n", *journalDir)

@@ -91,11 +91,6 @@ func (m *MultiFidelitySurrogate) serving() *Surrogate {
 // Len returns the number of observations the serving model holds.
 func (m *MultiFidelitySurrogate) Len() int { return m.serving().Len() }
 
-// PredictAll mirrors Surrogate.PredictAll on the serving model.
-func (m *MultiFidelitySurrogate) PredictAll(ds []cloud.Deployment, mu, sigma []float64, workers int) {
-	m.serving().PredictAll(ds, mu, sigma, workers)
-}
-
 // PredictMatrix mirrors Surrogate.PredictMatrix on the serving model.
 func (m *MultiFidelitySurrogate) PredictMatrix(feats []float64, dim int, mu, sigma []float64, scratch *gp.PredictMatrixScratch) {
 	m.serving().PredictMatrix(feats, dim, mu, sigma, scratch)

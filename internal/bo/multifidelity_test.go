@@ -65,12 +65,17 @@ func TestMultiFidelityAllFullBitIdentical(t *testing.T) {
 	sigma := make([]float64, 2)
 	mu2 := make([]float64, 2)
 	sigma2 := make([]float64, 2)
-	qs := []cloud.Deployment{mfDeployment("c5.4xlarge", 5), mfDeployment("c5.xlarge", 2)}
-	plain.PredictAll(qs, mu, sigma, 1)
-	multi.PredictAll(qs, mu2, sigma2, 1)
-	for i := range qs {
+	var feats []float64
+	for _, d := range []cloud.Deployment{mfDeployment("c5.4xlarge", 5), mfDeployment("c5.xlarge", 2)} {
+		feats = append(feats, cloud.Features(d)...)
+	}
+	dim := len(feats) / len(mu)
+	var s1, s2 gp.PredictMatrixScratch
+	plain.PredictMatrix(feats, dim, mu, sigma, &s1)
+	multi.PredictMatrix(feats, dim, mu2, sigma2, &s2)
+	for i := range mu {
 		if mu[i] != mu2[i] || sigma[i] != sigma2[i] {
-			t.Fatalf("PredictAll diverged at %d: (%v, %v) vs (%v, %v)", i, mu[i], sigma[i], mu2[i], sigma2[i])
+			t.Fatalf("PredictMatrix diverged at %d: (%v, %v) vs (%v, %v)", i, mu[i], sigma[i], mu2[i], sigma2[i])
 		}
 	}
 }

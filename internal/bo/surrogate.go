@@ -96,26 +96,12 @@ func (s *Surrogate) Observe(d cloud.Deployment, y float64) error {
 	return nil
 }
 
-// PredictAll fills mu[i], sigma[i] with the posterior at ds[i], fanning
-// the queries over at most workers goroutines. The outputs are written
-// by index, so they match a serial Predict loop exactly.
-func (s *Surrogate) PredictAll(ds []cloud.Deployment, mu, sigma []float64, workers int) {
-	if s.model == nil || s.Len() == 0 {
-		panic("bo: PredictAll before any observation")
-	}
-	xs := make([][]float64, len(ds))
-	for i, d := range ds {
-		xs[i] = cloud.Features(d)
-	}
-	s.model.PredictBatch(xs, mu, sigma, workers)
-}
-
 // PredictMatrix fills mu[c], sigma[c] with the posterior at the m
 // queries packed row-major in feats (len(feats) = m·dim), reusing the
 // caller's scratch so a hot search loop performs no per-sweep feature
-// encoding or allocation. The outputs are bit-identical to PredictAll
-// over the same queries in the same order; see gp.PredictMatrix for the
-// determinism argument.
+// encoding or allocation. The outputs are bit-identical to a Predict
+// loop over the same queries in the same order; see gp.PredictMatrix for
+// the determinism argument.
 func (s *Surrogate) PredictMatrix(feats []float64, dim int, mu, sigma []float64, scratch *gp.PredictMatrixScratch) {
 	if s.model == nil || s.Len() == 0 {
 		panic("bo: PredictMatrix before any observation")

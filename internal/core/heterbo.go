@@ -74,11 +74,11 @@ type Options struct {
 	// wall-clock data, so a seeded search traces identically every run.
 	Tracer obs.EventSink
 
-	// Workers bounds the goroutines used for candidate scoring and the
-	// surrogate's hyperparameter multi-start (default GOMAXPROCS). Every
-	// parallel path computes into index-addressed slots and reduces in
-	// index order, so a search's decisions — and its trace — are
-	// bit-identical at any worker count.
+	// Workers bounds the goroutines of the surrogate's hyperparameter
+	// multi-start (default GOMAXPROCS); candidate scoring is one serial
+	// batched sweep. The starts compute into index-addressed slots and
+	// reduce in start order, so a search's decisions — and its trace —
+	// are bit-identical at any worker count.
 	Workers int
 
 	// Metrics, when non-nil, registers the wall-clock performance
@@ -1103,18 +1103,18 @@ func (g reserveGate) admits(nodes int, hourly, f float64) bool {
 
 // scanCandidates is the acquisition sweep over the flat candidate view:
 // mask filter → gather → one batched posterior → serial argmax. It
-// decides exactly what the original three-pass loop (per-candidate map
-// keys, per-candidate feature encodings, per-candidate reserve picks,
-// fan-out PredictAll) decided:
+// decides exactly what a three-pass loop (per-candidate map keys,
+// per-candidate feature encodings, per-candidate reserve picks, a
+// per-candidate Predict) decides:
 //
 //   - pass 1's filters are pure state reads, so evaluating them from the
 //     masks — which probe keeps bit-for-bit in sync with the maps — and
 //     hoisting the reserve gate's sweep-invariant pieces reorders no
 //     floating-point operation that reaches a verdict;
 //   - pass 2 gathers the precomputed cloud.Features rows (the same bits
-//     PredictAll re-encoded per call) and takes ONE batched posterior,
+//     Predict re-encodes per call) and takes ONE batched posterior,
 //     which gp.PredictMatrix guarantees bit-identical to the per-query
-//     loop at any worker count;
+//     PredictInto loop;
 //   - pass 3 walks survivors in space-index order applying the CI
 //     filter, TEI headroom, and strict-greater argmax in the original
 //     comparison sequence. Survivors are never pending, so GapStd — a

@@ -60,8 +60,8 @@ func refFeasibleIncumbentObjective(st *state) (float64, bool) {
 	return best, found
 }
 
-// refNextCandidate is the pre-refactor acquisition sweep, verbatim:
-// per-candidate map keys in pass 1, a fanned-out PredictAll in pass 2,
+// refNextCandidate is the acquisition sweep before the SoA flattening:
+// per-candidate map keys in pass 1, a per-candidate Predict in pass 2,
 // and per-candidate fidelityOptions/admissibleAt (each re-running the
 // reserve pick) in pass 3. Everything it calls still exists in
 // production — only the sweep's geometry changed.
@@ -89,7 +89,9 @@ func refNextCandidate(st *state) (cloud.Deployment, candidateScore, bool) {
 	}
 	mu := make([]float64, len(cands))
 	sigma := make([]float64, len(cands))
-	st.surr.PredictAll(cands, mu, sigma, st.opts.Workers)
+	for i, d := range cands {
+		mu[i], sigma[i] = st.surr.Predict(d)
+	}
 	var (
 		best      cloud.Deployment
 		bestScore candidateScore

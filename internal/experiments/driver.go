@@ -14,8 +14,8 @@ import (
 // from i (seeds, probe counts) and write its result into slot i of a
 // caller-owned slice. Collecting by index keeps the output identical to a
 // serial loop no matter how the scheduler interleaves the workers — the
-// same argument that makes the searcher's parallel candidate scoring
-// reproduce its serial argmax (DESIGN.md §9).
+// same argument that makes the surrogate's parallel hyperparameter
+// multi-start reproduce its serial winner (DESIGN.md §9).
 //
 // If any calls fail, the error from the lowest index is returned — again
 // matching what a serial loop that stops at the first failure would have

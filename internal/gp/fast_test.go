@@ -350,30 +350,3 @@ func FuzzPredictMatrix(f *testing.F) {
 		}
 	})
 }
-
-// TestPredictBatchMatchesSerial checks index-slot collection: any worker
-// count produces the byte-identical mu/sigma a serial loop would.
-func TestPredictBatchMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(26))
-	g := fitRandom(t, NewMatern52(3), 15, 3, rng)
-	xs := make([][]float64, 40)
-	for i := range xs {
-		xs[i] = []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
-	}
-	wantMu := make([]float64, len(xs))
-	wantSigma := make([]float64, len(xs))
-	for i, x := range xs {
-		wantMu[i], wantSigma[i] = g.Predict(x)
-	}
-	for _, workers := range []int{1, 2, 4, 64} {
-		mu := make([]float64, len(xs))
-		sigma := make([]float64, len(xs))
-		g.PredictBatch(xs, mu, sigma, workers)
-		for i := range xs {
-			if mu[i] != wantMu[i] || sigma[i] != wantSigma[i] {
-				t.Fatalf("workers=%d: query %d: (%v,%v) want (%v,%v)",
-					workers, i, mu[i], sigma[i], wantMu[i], wantSigma[i])
-			}
-		}
-	}
-}

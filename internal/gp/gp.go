@@ -487,43 +487,6 @@ func (g *GP) PredictInto(x []float64, s *PredictScratch) (mu, sigma float64) {
 	return mu, sigma
 }
 
-// PredictBatch fills mu[i], sigma[i] with the posterior at xs[i], fanning
-// the queries across at most workers goroutines with per-worker scratch.
-// Results are written by index, so the output is identical to a serial
-// loop regardless of scheduling.
-func (g *GP) PredictBatch(xs [][]float64, mu, sigma []float64, workers int) {
-	if len(mu) < len(xs) || len(sigma) < len(xs) {
-		panic(fmt.Sprintf("gp: PredictBatch outputs %d,%d < %d queries", len(mu), len(sigma), len(xs)))
-	}
-	if workers > len(xs) {
-		workers = len(xs)
-	}
-	if workers <= 1 {
-		var s PredictScratch
-		for i, x := range xs {
-			mu[i], sigma[i] = g.PredictInto(x, &s)
-		}
-		return
-	}
-	var next int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			var s PredictScratch
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(xs) {
-					return
-				}
-				mu[i], sigma[i] = g.PredictInto(xs[i], &s)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // PredictMatrixScratch holds the per-caller buffers for PredictMatrix.
 // A zero value is ready to use; buffers grow on demand and are reused
 // across calls, making steady-state batch prediction allocation-free.

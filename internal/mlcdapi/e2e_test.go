@@ -273,12 +273,12 @@ func TestE2EDeterminism(t *testing.T) {
 	}
 }
 
-// TestE2ESerialParallelTraces pins the PR's central guarantee: the
-// bounded-parallel candidate scoring and hyperparameter multi-start may
-// change how fast the search runs, never what it decides. A run confined
-// to one scheduler thread (GOMAXPROCS=1, which also defaults the search
-// core's worker pool to 1) must produce byte-identical job traces to a
-// fully parallel run of the same seeded stack.
+// TestE2ESerialParallelTraces pins the guarantee that the bounded-
+// parallel hyperparameter multi-start may change how fast the search
+// runs, never what it decides. A run confined to one scheduler thread
+// (GOMAXPROCS=1, which also defaults the search core's worker pool to 1)
+// must produce byte-identical job traces to a fully parallel run of the
+// same seeded stack.
 func TestE2ESerialParallelTraces(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	serial := runE2EStack(t)

@@ -116,14 +116,12 @@ type ServerConfig struct {
 	// QueueSize bounds waiting submissions; beyond it POST returns 429
 	// (default 64).
 	QueueSize int
-	// JournalPath enables the crash-safe journal ("" → none). Only valid
-	// with Shards <= 1; sharded planes journal per shard under JournalDir.
-	JournalPath string
 	// Shards >= 2 runs the sharded control plane instead of a single
 	// scheduler; Workers and QueueSize then apply to EACH shard.
 	Shards int
-	// JournalDir enables the segmented journal: per shard under
-	// JournalDir/shard-N when Shards >= 2, one directory otherwise.
+	// JournalDir enables the crash-safe segmented journal ("" → none):
+	// per shard under JournalDir/shard-N when Shards >= 2, one directory
+	// otherwise.
 	JournalDir string
 	// CompactEvery is the segmented journal's background compaction
 	// cadence (0 = on demand only).
@@ -208,14 +206,11 @@ func NewServer(sys *mlcdsys.System, jobs map[string]workload.Job) *Server {
 
 // NewServerWithConfig wraps an MLCD system with a configured backend:
 // a single scheduler (default), or the sharded control plane when
-// cfg.Shards >= 2. Journals (cfg.JournalPath or cfg.JournalDir) are
-// replayed before the server accepts requests.
+// cfg.Shards >= 2. A journal under cfg.JournalDir is replayed before
+// the server accepts requests.
 func NewServerWithConfig(sys *mlcdsys.System, cfg ServerConfig) (*Server, error) {
 	s := &Server{metrics: sys.Metrics(), mux: http.NewServeMux()}
 	if cfg.Shards >= 2 {
-		if cfg.JournalPath != "" {
-			return nil, errors.New("mlcdapi: JournalPath is single-scheduler only; use JournalDir with shards")
-		}
 		p, err := shardplane.New(sys, shardplane.Config{
 			Shards:             cfg.Shards,
 			Workers:            cfg.Workers,
@@ -239,7 +234,6 @@ func NewServerWithConfig(sys *mlcdsys.System, cfg ServerConfig) (*Server, error)
 			Workers:            cfg.Workers,
 			QueueSize:          cfg.QueueSize,
 			Jobs:               cfg.Jobs,
-			JournalPath:        cfg.JournalPath,
 			JournalDir:         cfg.JournalDir,
 			CompactEvery:       cfg.CompactEvery,
 			ProfilerMiddleware: cfg.ProfilerMiddleware,

@@ -2,9 +2,13 @@ package mlcdapi
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 )
 
@@ -98,13 +102,30 @@ func readAll(t *testing.T, resp *http.Response) string {
 	}
 }
 
-// TestShardedConfigValidation: the journal knobs are mutually exclusive
-// across modes and must fail loudly, not journal to the wrong place.
-func TestShardedConfigValidation(t *testing.T) {
-	if _, err := NewServerWithConfig(newSystem(t), ServerConfig{
-		Shards: 2, JournalPath: "x.jnl",
-	}); err == nil {
-		t.Fatal("Shards>=2 with JournalPath must be rejected")
+// TestLegacyJournalFileRejected: a single-file journal from an older
+// daemon is refused, not imported. A JournalDir naming such a file must
+// fail at start, for one scheduler and for a sharded plane alike, and
+// the error must say which path is wrong.
+func TestLegacyJournalFileRejected(t *testing.T) {
+	legacy := filepath.Join(t.TempDir(), "mlcdd.journal")
+	record := `{"type":"submit","id":"job-0001","job":"resnet-cifar10","tenant":"acme","budget_usd":100}` + "\n"
+	if err := os.WriteFile(legacy, []byte(record), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 2} {
+		srv, err := NewServerWithConfig(newSystem(t), ServerConfig{
+			Shards: shards, JournalDir: legacy, MergeEvery: -1, HealthEvery: -1,
+		})
+		if err == nil {
+			srv.Close()
+			t.Fatalf("shards=%d: a JournalDir naming a journal file was accepted", shards)
+		}
+		if !errors.Is(err, syscall.ENOTDIR) {
+			t.Errorf("shards=%d: err = %v, want ENOTDIR", shards, err)
+		}
+		if !strings.Contains(err.Error(), legacy) {
+			t.Errorf("shards=%d: error %q does not name %s", shards, err, legacy)
+		}
 	}
 }
 

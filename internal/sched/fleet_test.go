@@ -3,6 +3,7 @@ package sched
 import (
 	"path/filepath"
 	"testing"
+	"time"
 
 	"mlcd/internal/mlcdsys"
 )
@@ -12,9 +13,9 @@ import (
 // before the worker pool starts — the first search after a crash starts
 // from everything the fleet had already paid to learn.
 func TestFleetPriorRebuiltFromJournalReplay(t *testing.T) {
-	journalPath := filepath.Join(t.TempDir(), "sched.journal")
+	journalDir := filepath.Join(t.TempDir(), "journal")
 
-	a, err := New(newTestSystem(t), Config{JournalPath: journalPath, FleetPrior: true})
+	a, err := New(newTestSystem(t), Config{JournalDir: journalDir, FleetPrior: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func TestFleetPriorRebuiltFromJournalReplay(t *testing.T) {
 	}
 	a.Close()
 
-	b, err := New(newTestSystem(t), Config{JournalPath: journalPath, FleetPrior: true})
+	b, err := New(newTestSystem(t), Config{JournalDir: journalDir, FleetPrior: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,6 +52,29 @@ func TestFleetPriorRebuiltFromJournalReplay(t *testing.T) {
 	}
 	if string(le) != string(re) {
 		t.Fatalf("recovered prior differs from the learned one:\n%s\nvs\n%s", re, le)
+	}
+}
+
+// A declined search still paid for its probes, and the prior must learn
+// from them at once rather than wait for some later search to succeed:
+// resnet-cifar10 cannot finish within 2 h on the test catalogue, so the
+// search probes and then fails.
+func TestFleetPriorLearnsFromFailedSearch(t *testing.T) {
+	s, err := New(newTestSystem(t), Config{FleetPrior: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	job, err := s.Submit("resnet-cifar10", "acme", mlcdsys.Requirements{Deadline: 2 * time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitStatus(t, s, job.ID, StatusFailed)
+	if s.Cache().Stats().Misses == 0 {
+		t.Fatal("the declined search paid for no probe; the test needs one")
+	}
+	if s.FleetPrior().KeyCount() == 0 {
+		t.Fatal("a declined search's paid probes must reach the prior")
 	}
 }
 

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -10,9 +11,10 @@ import (
 	"mlcd/internal/search"
 )
 
-// FuzzReplayJournal feeds arbitrary bytes to the journal replayer: it
-// must never panic, whatever garbage a crashed or truncated file left
-// behind, and whatever it recovers must be internally consistent.
+// FuzzReplayJournal feeds arbitrary bytes to the journal replayer as a
+// journal's only segment: it must never panic, whatever garbage a crashed
+// or truncated file left behind, and whatever it recovers must be
+// internally consistent.
 func FuzzReplayJournal(f *testing.F) {
 	f.Add([]byte(""))
 	f.Add([]byte(`{"type":"submit","id":"job-0001","job":"resnet-cifar10","tenant":"acme","budget_usd":100}` + "\n"))
@@ -28,11 +30,11 @@ func FuzzReplayJournal(f *testing.F) {
 	f.Add([]byte(`{"type":"done","id":"job-9999","status":"failed","error":"boom"}` + "\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		path := filepath.Join(t.TempDir(), "journal.jsonl")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf(segmentPattern, 1)), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		st, err := ReplayJournal(path)
+		st, _, err := ReplaySegmented(dir)
 		if err != nil {
 			return // rejecting corrupt journals is fine; panicking is not
 		}
@@ -42,7 +44,7 @@ func FuzzReplayJournal(f *testing.F) {
 	})
 }
 
-// FuzzReplaySegmented feeds arbitrary bytes to the SEGMENTED replayer —
+// FuzzReplaySegmented feeds arbitrary bytes to the journal replayer —
 // a snapshot plus two segment files, any of which a crash or a bad disk
 // may have corrupted anywhere. The replayer must recover or reject
 // cleanly, never panic, never resurrect a torn record as a duplicate
@@ -123,8 +125,8 @@ func FuzzJournalRoundTrip(f *testing.F) {
 				return // JSON cannot represent non-finite numbers
 			}
 		}
-		path := filepath.Join(t.TempDir(), "journal.jsonl")
-		jl, err := OpenJournal(path)
+		dir := t.TempDir()
+		jl, err := OpenSegmented(SegmentedConfig{Dir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +144,7 @@ func FuzzJournalRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 
-		st, err := ReplayJournal(path)
+		st, _, err := ReplaySegmented(dir)
 		if err != nil {
 			t.Fatalf("replaying journal the scheduler itself wrote: %v", err)
 		}

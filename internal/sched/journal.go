@@ -10,18 +10,18 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"sync"
 
 	"mlcd/internal/faultfs"
 	"mlcd/internal/search"
 )
 
-// The journal is the scheduler's crash-safety story: an append-only
-// JSONL file recording every submission, every completed profiling
-// probe (in search.SavedObservation's stable wire form), and every
-// terminal status. A restarted scheduler replays it to re-enqueue jobs
-// that never reached a terminal state and to prime the shared profiling
-// cache, so recovered searches warm-start instead of re-profiling.
+// The journal is the scheduler's crash-safety story: append-only JSONL
+// records (written to the segments of a SegmentedJournal, see
+// segjournal.go) of every submission, every completed profiling probe
+// (in search.SavedObservation's stable wire form), and every terminal
+// status. A restarted scheduler replays it to re-enqueue jobs that never
+// reached a terminal state and to prime the shared profiling cache, so
+// recovered searches warm-start instead of re-profiling.
 //
 // Record kinds:
 //
@@ -67,50 +67,6 @@ func idSeq(id string) int {
 		return 0
 	}
 	return n
-}
-
-// journalSink is what the scheduler appends to: the single-file Journal
-// or the rotating SegmentedJournal.
-type journalSink interface {
-	append(rec journalRecord) error
-	Close() error
-}
-
-// Journal is an open, append-only scheduler journal.
-type Journal struct {
-	mu     sync.Mutex
-	f      faultfs.File
-	w      *bufio.Writer
-	off    int64 // bytes of complete, newline-terminated records
-	closed bool
-	wedged bool // failed rollback left torn bytes mid-file: fail stop
-}
-
-// OpenJournal opens (creating if needed) the journal at path for
-// appending, on the real filesystem.
-func OpenJournal(path string) (*Journal, error) {
-	return OpenJournalFS(faultfs.OS{}, path)
-}
-
-// OpenJournalFS is OpenJournal over an injectable filesystem — the
-// storage-fault test hook. A torn final line — the partial record of an
-// append the crash interrupted — is truncated away first: without the
-// repair the next record would concatenate onto the torn bytes and a
-// later replay would reject the journal as mid-file corruption.
-func OpenJournalFS(fsys faultfs.FS, path string) (*Journal, error) {
-	if err := repairTornTail(fsys, path); err != nil {
-		return nil, fmt.Errorf("sched: repairing journal tail: %w", err)
-	}
-	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("sched: opening journal: %w", err)
-	}
-	info, err := f.Stat()
-	if err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("sched: sizing journal: %w", err)
-	}
-	return &Journal{f: f, w: bufio.NewWriter(f), off: info.Size()}, nil
 }
 
 // repairTornTail truncates path back to its last newline when the file
@@ -162,63 +118,6 @@ func repairTornTail(fsys faultfs.FS, path string) error {
 	return f.Truncate(0)
 }
 
-// append writes one record and fsyncs it. A failed write is rolled
-// back to the last record boundary (see SegmentedJournal.append for the
-// full contract); a failed fsync refuses the operation but needs no
-// rollback.
-func (jl *Journal) append(rec journalRecord) error {
-	jl.mu.Lock()
-	defer jl.mu.Unlock()
-	if jl.closed {
-		return errors.New("sched: journal is closed")
-	}
-	if jl.wedged {
-		return errors.New("sched: journal wedged by failed write rollback; reopen to repair")
-	}
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("sched: encoding journal record: %w", err)
-	}
-	b = append(b, '\n')
-	if _, err := jl.w.Write(b); err != nil {
-		jl.rollbackLocked()
-		return fmt.Errorf("sched: appending journal record: %w", err)
-	}
-	if err := jl.w.Flush(); err != nil {
-		jl.rollbackLocked()
-		return fmt.Errorf("sched: flushing journal: %w", err)
-	}
-	jl.off += int64(len(b))
-	if err := jl.f.Sync(); err != nil {
-		return fmt.Errorf("sched: syncing journal: %w", err)
-	}
-	return nil
-}
-
-// rollbackLocked truncates torn bytes of a failed append and replaces
-// the poisoned buffered writer. Callers hold jl.mu.
-func (jl *Journal) rollbackLocked() {
-	jl.w = bufio.NewWriter(jl.f)
-	if err := jl.f.Truncate(jl.off); err != nil {
-		jl.wedged = true
-	}
-}
-
-// Close flushes and closes the journal. Idempotent.
-func (jl *Journal) Close() error {
-	jl.mu.Lock()
-	defer jl.mu.Unlock()
-	if jl.closed {
-		return nil
-	}
-	jl.closed = true
-	if err := jl.w.Flush(); err != nil {
-		_ = jl.f.Close()
-		return err
-	}
-	return jl.f.Close()
-}
-
 // RecoveredSub is one journaled submission with the last status the
 // journal proves: "" means it never reached a terminal state and must be
 // re-enqueued on recovery.
@@ -245,35 +144,6 @@ type JournalState struct {
 	Subs   []RecoveredSub // submission order
 	Probes []RecoveredProbe
 	MaxID  int // highest numeric job-NNNN suffix seen
-}
-
-// ReplayJournal reads the journal at path on the real filesystem. A
-// missing file is an empty journal. A torn final line — the tail of a
-// crashed append — is ignored; corruption anywhere earlier is an error,
-// since records after it would silently vanish.
-func ReplayJournal(path string) (JournalState, error) {
-	return ReplayJournalFS(faultfs.OS{}, path)
-}
-
-// ReplayJournalFS is ReplayJournal over an injectable filesystem.
-func ReplayJournalFS(fsys faultfs.FS, path string) (JournalState, error) {
-	var st JournalState
-	f, err := fsys.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return st, nil
-	}
-	if err != nil {
-		return st, fmt.Errorf("sched: opening journal for replay: %w", err)
-	}
-	defer func() { _ = f.Close() }()
-
-	index := make(map[string]int) // id → position in st.Subs
-	if _, err := scanRecords(f, func(rec journalRecord) {
-		applyRecord(&st, index, rec)
-	}); err != nil {
-		return st, err
-	}
-	return st, nil
 }
 
 // applyRecord folds one decoded record into st; index maps submission

@@ -87,11 +87,11 @@ func BenchmarkJournalAppendDirect(b *testing.B) {
 }
 
 // BenchmarkJournalAppend is the same workload through the production
-// journal: OpenJournalFS over faultfs.OS, so every Write, Flush, and
-// Sync crosses the injectable-filesystem interface.
+// journal: OpenSegmented over faultfs.OS, so every Write, Flush, and
+// Sync crosses the injectable-filesystem interface. MaxRecords exceeds
+// b.N, so no segment rotation lands inside the timed cycle.
 func BenchmarkJournalAppend(b *testing.B) {
-	path := filepath.Join(benchJournalDir(b), "journal.jnl")
-	j, err := OpenJournalFS(faultfs.OS{}, path)
+	j, err := OpenSegmented(SegmentedConfig{Dir: benchJournalDir(b), MaxRecords: b.N + 1, FS: faultfs.OS{}})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -106,15 +106,11 @@ func TestJournalIDNotResurrectedAcrossRestart(t *testing.T) {
 // legitimate history (client retry after an append that failed post-
 // write); replay must fold them into ONE submission, not two runs.
 func TestReplayDeduplicatesSubmitRecords(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal")
-	lines := `{"type":"submit","id":"job-0001","job":"resnet-cifar10","tenant":"acme","budget_usd":100}
+	dir := writeFirstSegment(t, `{"type":"submit","id":"job-0001","job":"resnet-cifar10","tenant":"acme","budget_usd":100}
 {"type":"submit","id":"job-0001","job":"resnet-cifar10","tenant":"acme","budget_usd":100}
 {"type":"submit","id":"job-0002","job":"resnet-cifar10","tenant":"beta","budget_usd":50}
-`
-	if err := os.WriteFile(path, []byte(lines), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st, err := ReplayJournal(path)
+`)
+	st, _, err := ReplaySegmented(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,9 +8,20 @@ import (
 	"mlcd/internal/search"
 )
 
+// writeFirstSegment creates a journal directory whose only file is a
+// first segment holding content, as a crash may have left it.
+func writeFirstSegment(t *testing.T, content string) string {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(segPath(dir, 1), []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
 func TestJournalRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sched.journal")
-	jl, err := OpenJournal(path)
+	dir := filepath.Join(t.TempDir(), "journal")
+	jl, err := OpenSegmented(SegmentedConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +43,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, err := ReplayJournal(path)
+	st, _, err := ReplaySegmented(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,20 +62,16 @@ func TestJournalRoundTrip(t *testing.T) {
 }
 
 func TestJournalMissingFileIsEmpty(t *testing.T) {
-	st, err := ReplayJournal(filepath.Join(t.TempDir(), "nope.journal"))
+	st, _, err := ReplaySegmented(filepath.Join(t.TempDir(), "nope"))
 	if err != nil || len(st.Subs) != 0 || len(st.Probes) != 0 {
 		t.Fatalf("st=%+v err=%v", st, err)
 	}
 }
 
 func TestJournalTornTailTolerated(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sched.journal")
-	content := `{"type":"submit","id":"job-0001","job":"resnet-cifar10","budget_usd":100}
-{"type":"probe","job":"resnet-cifar10","obser` // crashed mid-append
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st, err := ReplayJournal(path)
+	dir := writeFirstSegment(t, `{"type":"submit","id":"job-0001","job":"resnet-cifar10","budget_usd":100}
+{"type":"probe","job":"resnet-cifar10","obser`) // crashed mid-append
+	st, _, err := ReplaySegmented(dir)
 	if err != nil {
 		t.Fatalf("torn tail must be tolerated: %v", err)
 	}
@@ -79,13 +86,9 @@ func TestJournalTornTailTolerated(t *testing.T) {
 // *next* replay still parses. Without the repair the journal survives
 // one crash but not two.
 func TestJournalTornTailRepairedOnOpen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sched.journal")
-	content := `{"type":"submit","id":"job-0001","job":"resnet-cifar10","budget_usd":100}
-{"type":"probe","job":"resnet-cifar10","obser` // crashed mid-append
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	jl, err := OpenJournal(path)
+	dir := writeFirstSegment(t, `{"type":"submit","id":"job-0001","job":"resnet-cifar10","budget_usd":100}
+{"type":"probe","job":"resnet-cifar10","obser`) // crashed mid-append
+	jl, err := OpenSegmented(SegmentedConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +98,7 @@ func TestJournalTornTailRepairedOnOpen(t *testing.T) {
 	if err := jl.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st, err := ReplayJournal(path)
+	st, _, err := ReplaySegmented(dir)
 	if err != nil {
 		t.Fatalf("journal corrupted by appending after a torn tail: %v", err)
 	}
@@ -107,36 +110,32 @@ func TestJournalTornTailRepairedOnOpen(t *testing.T) {
 	}
 }
 
-// TestJournalRepairWholeFileTorn covers the degenerate repair: a journal
+// TestJournalRepairWholeFileTorn covers the degenerate repair: a segment
 // holding nothing but one torn line truncates to empty.
 func TestJournalRepairWholeFileTorn(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sched.journal")
-	if err := os.WriteFile(path, []byte(`{"type":"sub`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	jl, err := OpenJournal(path)
+	dir := writeFirstSegment(t, `{"type":"sub`)
+	jl, err := OpenSegmented(SegmentedConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := jl.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st, err := ReplayJournal(path)
+	if info, err := os.Stat(segPath(dir, 1)); err != nil || info.Size() != 0 {
+		t.Fatalf("torn segment not truncated to empty: %v, %v", info, err)
+	}
+	st, _, err := ReplaySegmented(dir)
 	if err != nil || len(st.Subs) != 0 || len(st.Probes) != 0 {
 		t.Fatalf("st=%+v err=%v", st, err)
 	}
 }
 
 func TestJournalMidFileCorruptionRejected(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sched.journal")
-	content := `{"type":"submit","id":"job-0001","job":"resnet-cifar10"}
+	dir := writeFirstSegment(t, `{"type":"submit","id":"job-0001","job":"resnet-cifar10"}
 NOT JSON AT ALL
 {"type":"done","id":"job-0001","status":"done"}
-`
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReplayJournal(path); err == nil {
+`)
+	if _, _, err := ReplaySegmented(dir); err == nil {
 		t.Fatal("mid-file corruption must be an error, not silent data loss")
 	}
 }

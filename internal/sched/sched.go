@@ -14,10 +14,11 @@
 //     cost is the scarce resource, so identical probes from different
 //     tenants are paid for exactly once and later submissions of the
 //     same workload warm-start from prior measurements;
-//   - a crash-safe Journal: every submission, completed probe, and
-//     terminal status is fsynced to an append-only log, and a restarted
-//     scheduler re-enqueues unfinished jobs with their observations
-//     already in the cache — recovered searches do not re-profile.
+//   - a crash-safe SegmentedJournal: every submission, completed probe,
+//     and terminal status is fsynced to an append-only log, and a
+//     restarted scheduler re-enqueues unfinished jobs with their
+//     observations already in the cache — recovered searches do not
+//     re-profile.
 package sched
 
 import (
@@ -88,14 +89,11 @@ type Config struct {
 	// Jobs is the submission menu (nil → every predefined workload, as
 	// DefaultMenu).
 	Jobs map[string]workload.Job
-	// JournalPath enables the crash-safe journal ("" → none). If the
-	// file exists it is replayed first: unfinished submissions are
-	// re-enqueued and journaled probes prime the cache.
-	JournalPath string
-	// JournalDir enables the segmented journal instead: rotating segment
-	// files under this directory with snapshot compaction, so recovery
-	// cost stays O(live jobs) as history grows. Mutually exclusive with
-	// JournalPath.
+	// JournalDir enables the crash-safe journal ("" → none): rotating
+	// segment files under this directory with snapshot compaction, so
+	// recovery cost stays O(live jobs) as history grows. An existing
+	// journal is replayed first: unfinished submissions are re-enqueued
+	// and journaled probes prime the cache.
 	JournalDir string
 	// CompactEvery sets the segmented journal's background compaction
 	// cadence (0 = compact only on demand). Only meaningful with
@@ -174,7 +172,7 @@ type Scheduler struct {
 	sys      *mlcdsys.System
 	menu     map[string]workload.Job
 	cache    *ProfileCache
-	journal  journalSink // nil when journaling is off
+	journal  *SegmentedJournal // nil when journaling is off
 	workers  int
 	idPrefix string
 	mw       func(profiler.Profiler) profiler.Profiler
@@ -327,9 +325,6 @@ func New(sys *mlcdsys.System, cfg Config) (*Scheduler, error) {
 	if cfg.IDPrefix == "" {
 		cfg.IDPrefix = "job"
 	}
-	if cfg.JournalPath != "" && cfg.JournalDir != "" {
-		return nil, errors.New("sched: JournalPath and JournalDir are mutually exclusive")
-	}
 	if cfg.FS == nil {
 		cfg.FS = faultfs.OS{}
 	}
@@ -349,19 +344,7 @@ func New(sys *mlcdsys.System, cfg Config) (*Scheduler, error) {
 	s.m.workers.Set(float64(cfg.Workers))
 
 	var recovered []*job
-	switch {
-	case cfg.JournalPath != "":
-		state, err := ReplayJournalFS(cfg.FS, cfg.JournalPath)
-		if err != nil {
-			return nil, err
-		}
-		recovered = s.absorb(state)
-		jl, err := OpenJournalFS(cfg.FS, cfg.JournalPath)
-		if err != nil {
-			return nil, err
-		}
-		s.journal = jl
-	case cfg.JournalDir != "":
+	if cfg.JournalDir != "" {
 		state, _, err := ReplaySegmentedFS(cfg.FS, cfg.JournalDir)
 		if err != nil {
 			return nil, err
@@ -494,9 +477,9 @@ func (s *Scheduler) SetFleetPrior(p *fleetprior.Prior) {
 
 // RebuildFleetPrior relearns the meta-prior from this scheduler's own
 // profile cache (full-fidelity successes only) and installs it. Called
-// at startup after journal replay and after each completed job; the
-// shard plane's merge loop overwrites the result with the fleet-wide
-// prior. A no-op when the feature is off.
+// at startup after journal replay and after each search that ends done
+// or failed; the shard plane's merge loop overwrites the result with
+// the fleet-wide prior. A no-op when the feature is off.
 func (s *Scheduler) RebuildFleetPrior() {
 	if !s.fleetOn {
 		return
@@ -686,14 +669,13 @@ func (s *Scheduler) Load() (queued, capacity, workers int) {
 	return len(s.queue), cap(s.queue), s.workers
 }
 
-// CompactJournal folds the segmented journal's sealed segments into its
-// snapshot immediately. A no-op when the scheduler journals to a single
-// file or not at all.
+// CompactJournal folds the journal's sealed segments into its snapshot
+// immediately. A no-op when the scheduler does not journal.
 func (s *Scheduler) CompactJournal() error {
-	if sj, ok := s.journal.(*SegmentedJournal); ok {
-		return sj.Compact()
+	if s.journal == nil {
+		return nil
 	}
-	return nil
+	return s.journal.Compact()
 }
 
 // Close stops accepting submissions and blocks until every queued and
@@ -810,11 +792,6 @@ func (s *Scheduler) runJob(rec *job) {
 		rec.report = &rep
 		s.journalDone(rec)
 		s.m.terminal(StatusDone)
-		// The finished search's journaled probes are in the cache now;
-		// fold them into the prior so the next tenant starts warmer.
-		// Inside the shard plane the next merge replaces this with the
-		// fleet-wide prior.
-		s.RebuildFleetPrior()
 		rec.trace.Emit(obs.Event{
 			Kind:            "done",
 			Deployment:      rep.Outcome.Best.String(),
@@ -842,6 +819,13 @@ func (s *Scheduler) runJob(rec *job) {
 		s.journalDone(rec)
 		s.m.terminal(StatusFailed)
 		rec.trace.Emit(obs.Event{Kind: "failed", Note: rec.err})
+	}
+	// The search's paid probes are in the cache now, whether it picked a
+	// deployment or declined; fold them into the prior so the next
+	// tenant starts warmer. Inside the shard plane the next merge
+	// replaces this with the fleet-wide prior.
+	if rec.status == StatusDone || rec.status == StatusFailed {
+		s.RebuildFleetPrior()
 	}
 }
 

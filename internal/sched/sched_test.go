@@ -90,7 +90,7 @@ func TestSubmitAfterCloseRejected(t *testing.T) {
 // scheduler replays the journal — both jobs finish, and no deployment
 // journaled before the crash is ever measured again.
 func TestJournalRecovery(t *testing.T) {
-	journalPath := filepath.Join(t.TempDir(), "sched.journal")
+	journalDir := filepath.Join(t.TempDir(), "journal")
 
 	// Phase A: let exactly 3 probes measure, then block the 4th forever —
 	// the scheduler is abandoned mid-probe, like a process kill.
@@ -100,8 +100,8 @@ func TestJournalRecovery(t *testing.T) {
 		tokens <- struct{}{}
 	}
 	a, err := New(newTestSystem(t), Config{
-		Workers:     1,
-		JournalPath: journalPath,
+		Workers:    1,
+		JournalDir: journalDir,
 		ProfilerMiddleware: func(inner profiler.Profiler) profiler.Profiler {
 			return profilerFunc(func(j workload.Job, d cloud.Deployment) profiler.Result {
 				requests <- struct{}{}
@@ -132,7 +132,7 @@ func TestJournalRecovery(t *testing.T) {
 	// worker goroutine leaks for the test's lifetime, exactly like a
 	// crashed process whose journal survives.
 
-	preCrash, err := ReplayJournal(journalPath)
+	preCrash, _, err := ReplaySegmented(journalDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,8 +153,8 @@ func TestJournalRecovery(t *testing.T) {
 	var mu sync.Mutex
 	measuredB := make(map[string]int)
 	b, err := New(newTestSystem(t), Config{
-		Workers:     2,
-		JournalPath: journalPath,
+		Workers:    2,
+		JournalDir: journalDir,
 		ProfilerMiddleware: func(inner profiler.Profiler) profiler.Profiler {
 			return profilerFunc(func(j workload.Job, d cloud.Deployment) profiler.Result {
 				mu.Lock()
@@ -207,7 +207,7 @@ func TestJournalRecovery(t *testing.T) {
 
 	// The whole journal must never record the same deployment probe twice
 	// — that is the "profiling dollars are paid once" invariant on disk.
-	final, err := ReplayJournal(journalPath)
+	final, _, err := ReplaySegmented(journalDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestJournalRecovery(t *testing.T) {
 // torn record dropped and honestly re-measured — and the journal it
 // appends afterwards must replay cleanly for the *next* restart.
 func TestCrashRecoveryTruncatedTrailingLine(t *testing.T) {
-	journalPath := filepath.Join(t.TempDir(), "sched.journal")
+	journalDir := filepath.Join(t.TempDir(), "journal")
 
 	// Phase A: journal 3 probes for two jobs, then abandon the scheduler
 	// wedged on its 4th — a process kill with the journal left behind.
@@ -238,8 +238,8 @@ func TestCrashRecoveryTruncatedTrailingLine(t *testing.T) {
 		tokens <- struct{}{}
 	}
 	a, err := New(newTestSystem(t), Config{
-		Workers:     1,
-		JournalPath: journalPath,
+		Workers:    1,
+		JournalDir: journalDir,
 		ProfilerMiddleware: func(inner profiler.Profiler) profiler.Profiler {
 			return profilerFunc(func(j workload.Job, d cloud.Deployment) profiler.Result {
 				requests <- struct{}{}
@@ -267,23 +267,24 @@ func TestCrashRecoveryTruncatedTrailingLine(t *testing.T) {
 		}
 	}
 
-	// The crash tears the final record: chop bytes off the journal so the
-	// last journaled probe's line is incomplete.
-	intact, err := ReplayJournal(journalPath)
+	// The crash tears the final record: chop bytes off the active
+	// segment so the last journaled probe's line is incomplete.
+	intact, _, err := ReplaySegmented(journalDir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(intact.Probes) != 3 {
 		t.Fatalf("pre-crash journal probes = %+v", intact.Probes)
 	}
-	info, err := os.Stat(journalPath)
+	seg := segPath(journalDir, 1)
+	info, err := os.Stat(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(journalPath, info.Size()-20); err != nil {
+	if err := os.Truncate(seg, info.Size()-20); err != nil {
 		t.Fatal(err)
 	}
-	torn, err := ReplayJournal(journalPath)
+	torn, _, err := ReplaySegmented(journalDir)
 	if err != nil {
 		t.Fatalf("truncated trailing line must replay cleanly: %v", err)
 	}
@@ -303,8 +304,8 @@ func TestCrashRecoveryTruncatedTrailingLine(t *testing.T) {
 	var mu sync.Mutex
 	measured := make(map[string]int)
 	b, err := New(newTestSystem(t), Config{
-		Workers:     2,
-		JournalPath: journalPath,
+		Workers:    2,
+		JournalDir: journalDir,
 		ProfilerMiddleware: func(inner profiler.Profiler) profiler.Profiler {
 			return profilerFunc(func(j workload.Job, d cloud.Deployment) profiler.Result {
 				mu.Lock()
@@ -334,7 +335,7 @@ func TestCrashRecoveryTruncatedTrailingLine(t *testing.T) {
 
 	// The journal B appended must be whole again: a second restart replays
 	// without error and proves both jobs terminal.
-	final, err := ReplayJournal(journalPath)
+	final, _, err := ReplaySegmented(journalDir)
 	if err != nil {
 		t.Fatalf("journal unreadable after append-over-torn-tail: %v", err)
 	}
@@ -348,15 +349,15 @@ func TestCrashRecoveryTruncatedTrailingLine(t *testing.T) {
 }
 
 func TestShutdownCancelsRunningWithoutTerminalRecord(t *testing.T) {
-	journalPath := filepath.Join(t.TempDir(), "sched.journal")
+	journalDir := filepath.Join(t.TempDir(), "journal")
 	release := make(chan struct{})
 	var once sync.Once
 	defer once.Do(func() { close(release) })
 
 	started := make(chan struct{}, 16)
 	s, err := New(newTestSystem(t), Config{
-		Workers:     1,
-		JournalPath: journalPath,
+		Workers:    1,
+		JournalDir: journalDir,
 		ProfilerMiddleware: func(inner profiler.Profiler) profiler.Profiler {
 			return profilerFunc(func(j workload.Job, d cloud.Deployment) profiler.Result {
 				started <- struct{}{}
@@ -384,7 +385,7 @@ func TestShutdownCancelsRunningWithoutTerminalRecord(t *testing.T) {
 
 	// No terminal record: the job is still owed on restart. The probe is
 	// still blocked, so nothing could have raced the journal read.
-	st, err := ReplayJournal(journalPath)
+	st, _, err := ReplaySegmented(journalDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,14 +395,14 @@ func TestShutdownCancelsRunningWithoutTerminalRecord(t *testing.T) {
 }
 
 func TestUserCancelIsTerminalInJournal(t *testing.T) {
-	journalPath := filepath.Join(t.TempDir(), "sched.journal")
+	journalDir := filepath.Join(t.TempDir(), "journal")
 	gate := make(chan struct{})
 	var once sync.Once
 	defer once.Do(func() { close(gate) })
 
 	s, err := New(newTestSystem(t), Config{
-		Workers:     1,
-		JournalPath: journalPath,
+		Workers:    1,
+		JournalDir: journalDir,
 		ProfilerMiddleware: func(inner profiler.Profiler) profiler.Profiler {
 			return profilerFunc(func(j workload.Job, d cloud.Deployment) profiler.Result {
 				<-gate
@@ -438,7 +439,7 @@ func TestUserCancelIsTerminalInJournal(t *testing.T) {
 	s.Close()
 
 	// Both cancellations are terminal on disk: a restart resumes nothing.
-	st, err := ReplayJournal(journalPath)
+	st, _, err := ReplaySegmented(journalDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +448,7 @@ func TestUserCancelIsTerminalInJournal(t *testing.T) {
 			t.Errorf("journaled sub %s status %q, want cancelled", sub.ID, sub.Status)
 		}
 	}
-	restarted, err := New(newTestSystem(t), Config{Workers: 1, JournalPath: journalPath})
+	restarted, err := New(newTestSystem(t), Config{Workers: 1, JournalDir: journalDir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,18 +15,19 @@ import (
 	"mlcd/internal/faultfs"
 )
 
-// The segmented journal replaces the single ever-growing JSONL file with
-// a directory of rotating segment files plus a compacted snapshot, so
-// that recovery cost is O(live jobs + distinct probes), not O(history):
+// The segmented journal keeps the scheduler's JSONL records (see
+// journal.go) in a directory of rotating segment files plus a compacted
+// snapshot, so that recovery cost is O(live jobs + distinct probes), not
+// O(history):
 //
 //	dir/
 //	  snapshot.json    compacted state covering segments ≤ Through
 //	  seg-00000007.jnl sealed segment (immutable once rotated away from)
 //	  seg-00000008.jnl active segment (append + fsync per record)
 //
-// Appends go to the active segment exactly as in the single-file
-// journal. When the active segment reaches MaxRecords it is sealed and
-// a new one opened. Compaction folds the current snapshot plus every
+// Appends go to the active segment, one fsynced record at a time. When
+// the active segment reaches MaxRecords it is sealed and a new one
+// opened. Compaction folds the current snapshot plus every
 // sealed segment into a fresh snapshot — keeping only live (non-
 // terminal) submissions, one probe per (job, type, nodes), and the
 // maximum job-ID sequence — then deletes the sealed segments it
@@ -40,8 +41,8 @@ import (
 // Recovery replays snapshot.json, then every segment with a sequence
 // number greater than the snapshot's Through, in order. The last
 // segment may end in a torn line (crash mid-append); any segment may
-// have been torn-tail-repaired by a previous open (the PR 4 repair
-// path), and compaction reads such segments cleanly.
+// have been torn-tail-repaired by a previous open (repairTornTail), and
+// compaction reads such segments cleanly.
 
 // snapshotFile is the on-disk compacted state.
 type snapshotFile struct {
@@ -158,52 +159,68 @@ func ReplaySegmented(dir string) (JournalState, ReplayStats, error) {
 
 // ReplaySegmentedFS is ReplaySegmented over an injectable filesystem.
 func ReplaySegmentedFS(fsys faultfs.FS, dir string) (JournalState, ReplayStats, error) {
-	var st JournalState
 	var rs ReplayStats
 	snap, err := readSnapshot(fsys, dir)
 	if err != nil {
-		return st, rs, err
+		return JournalState{}, rs, err
 	}
-	index := make(map[string]int)
-	for _, sub := range snap.Subs {
-		index[sub.ID] = len(st.Subs)
-		st.Subs = append(st.Subs, sub)
-	}
-	st.Probes = append(st.Probes, snap.Probes...)
-	st.MaxID = snap.MaxID
 	rs.SnapshotSubs = len(snap.Subs)
 	rs.SnapshotProbes = len(snap.Probes)
 
 	seqs, err := listSegments(fsys, dir)
 	if err != nil {
-		return st, rs, err
+		return JournalState{}, rs, err
 	}
+	var tail []int
 	for _, seq := range seqs {
-		if seq <= snap.Through {
-			continue // compacted but not yet deleted (crash window)
+		if seq > snap.Through { // lower ones: compacted but not yet deleted (crash window)
+			tail = append(tail, seq)
 		}
+	}
+	st, records, err := foldSegments(fsys, dir, snap, tail)
+	rs.TailRecords = records
+	rs.TailSegments = len(tail)
+	return st, rs, err
+}
+
+// foldSegments rebuilds the state that snap plus the segments seqs (in
+// order) prove, and counts the segment records it applied. Replay and
+// compaction both go through it, so they cannot disagree on what the
+// journal holds.
+func foldSegments(fsys faultfs.FS, dir string, snap snapshotFile, seqs []int) (JournalState, int, error) {
+	st := JournalState{MaxID: snap.MaxID}
+	index := make(map[string]int) // id → position in st.Subs
+	for _, sub := range snap.Subs {
+		index[sub.ID] = len(st.Subs)
+		st.Subs = append(st.Subs, sub)
+	}
+	st.Probes = append(st.Probes, snap.Probes...)
+	records := 0
+	for _, seq := range seqs {
 		f, err := fsys.Open(segPath(dir, seq))
 		if err != nil {
-			return st, rs, err
+			return st, records, err
 		}
+		// Any segment can end in a torn line: the active one when a crash
+		// hit mid-append, and a sealed one whose torn tail a later open
+		// repaired — or never saw. scanRecords tolerates exactly that
+		// shape.
 		n, err := scanRecords(f, func(rec journalRecord) {
 			applyRecord(&st, index, rec)
 		})
 		_ = f.Close()
 		if err != nil {
-			return st, rs, fmt.Errorf("sched: segment %d: %w", seq, err)
+			return st, records, fmt.Errorf("sched: segment %d: %w", seq, err)
 		}
-		rs.TailRecords += n
-		rs.TailSegments++
+		records += n
 	}
-	return st, rs, nil
+	return st, records, nil
 }
 
 // OpenSegmented opens (creating if needed) the segmented journal in
 // cfg.Dir for appending, repairing the active segment's torn tail
 // first, and starts the background compaction loop when CompactEvery is
-// set. Callers replay with ReplaySegmented before opening, exactly as
-// with the single-file journal.
+// set. Callers replay with ReplaySegmented before opening.
 func OpenSegmented(cfg SegmentedConfig) (*SegmentedJournal, error) {
 	if cfg.MaxRecords <= 0 {
 		cfg.MaxRecords = defaultMaxRecords
@@ -290,7 +307,7 @@ func countRecords(fsys faultfs.FS, path string) (int, error) {
 }
 
 // append writes one record to the active segment, fsyncs it, and
-// rotates when the segment is full. Implements journalSink.
+// rotates when the segment is full.
 //
 // A failed write is rolled back: the active segment is truncated to the
 // last record boundary and the buffered writer replaced, so a short or
@@ -417,30 +434,9 @@ func (j *SegmentedJournal) Compact() error {
 		return nil // nothing new to fold in
 	}
 
-	// Rebuild the full state the snapshot + sealed segments prove.
-	var st JournalState
-	index := make(map[string]int)
-	for _, sub := range snap.Subs {
-		index[sub.ID] = len(st.Subs)
-		st.Subs = append(st.Subs, sub)
-	}
-	st.Probes = append(st.Probes, snap.Probes...)
-	st.MaxID = snap.MaxID
-	for _, seq := range sealed {
-		f, err := j.fs.Open(segPath(j.cfg.Dir, seq))
-		if err != nil {
-			return err
-		}
-		// A sealed segment can still end in a torn line when the previous
-		// process crashed mid-append and a later open repaired — or never
-		// saw — that tail; scanRecords tolerates exactly that shape.
-		_, err = scanRecords(f, func(rec journalRecord) {
-			applyRecord(&st, index, rec)
-		})
-		_ = f.Close()
-		if err != nil {
-			return fmt.Errorf("sched: compacting segment %d: %w", seq, err)
-		}
+	st, _, err := foldSegments(j.fs, j.cfg.Dir, snap, sealed)
+	if err != nil {
+		return fmt.Errorf("sched: compacting: %w", err)
 	}
 
 	next := snapshotFile{Version: 1, Through: through, MaxID: st.MaxID}

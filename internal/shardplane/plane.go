@@ -23,9 +23,6 @@ import (
 type Config struct {
 	// Shards is the number of independent scheduler shards (default 2).
 	Shards int
-	// Replicas is the ring's virtual-node count per shard
-	// (0 → DefaultReplicas).
-	Replicas int
 	// Workers is the search worker-pool size of EACH shard (default 1).
 	Workers int
 	// QueueSize bounds EACH shard's submission queue (default 64).
@@ -41,19 +38,12 @@ type Config struct {
 	// CompactEvery is each shard journal's background compaction cadence
 	// (0 = on demand only).
 	CompactEvery time.Duration
-	// SegmentMaxRecords seals a journal segment after this many appends
-	// (0 → the sched default).
-	SegmentMaxRecords int
 	// MergeEvery is the cache snapshot merge cadence (0 → 1s; < 0
 	// disables the loop — tests then drive MergeNow explicitly).
 	MergeEvery time.Duration
 	// ProfilerMiddleware wraps each shard's measuring profiler inside its
 	// cache (instrumentation; see sched.Config.ProfilerMiddleware).
 	ProfilerMiddleware func(profiler.Profiler) profiler.Profiler
-	// Traces is the plane-wide timeline recorder shared by all shards
-	// (nil → a fresh one). Job IDs are globally unique, so one recorder
-	// serves every shard.
-	Traces *obs.Recorder
 	// FS is the storage under every shard journal (nil → the real
 	// filesystem). The storage-fault test hook; see internal/faultfs.
 	FS faultfs.FS
@@ -79,7 +69,7 @@ type Config struct {
 type Plane struct {
 	ring   *Ring
 	caches []*sched.ProfileCache
-	traces *obs.Recorder
+	traces *obs.Recorder // shared by every shard: job IDs are globally unique
 
 	// shards is guarded by mu: RestartShard swaps one entry while API
 	// traffic keeps flowing to the others. Everything else about a shard
@@ -136,9 +126,6 @@ func New(sys *mlcdsys.System, cfg Config) (*Plane, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 2
 	}
-	if cfg.Traces == nil {
-		cfg.Traces = obs.NewRecorder(0)
-	}
 	if cfg.Jobs == nil {
 		cfg.Jobs = sched.DefaultMenu()
 	}
@@ -147,8 +134,8 @@ func New(sys *mlcdsys.System, cfg Config) (*Plane, error) {
 	}
 	reg := sys.Metrics()
 	p := &Plane{
-		ring:          NewRing(cfg.Shards, cfg.Replicas),
-		traces:        cfg.Traces,
+		ring:          NewRing(cfg.Shards, 0),
+		traces:        obs.NewRecorder(0),
 		sys:           sys,
 		degradedAfter: cfg.DegradedAfter,
 		merges: reg.Counter("mlcd_shardplane_snapshot_merges_total",
@@ -176,12 +163,11 @@ func New(sys *mlcdsys.System, cfg Config) (*Plane, error) {
 			QueueSize:          cfg.QueueSize,
 			Jobs:               cfg.Jobs,
 			Cache:              cache,
-			Traces:             cfg.Traces,
+			Traces:             p.traces,
 			ProfilerMiddleware: cfg.ProfilerMiddleware,
 			IDPrefix:           fmt.Sprintf("s%d-job", i),
 			ShardLabel:         strconv.Itoa(i),
 			CompactEvery:       cfg.CompactEvery,
-			SegmentMaxRecords:  cfg.SegmentMaxRecords,
 			FS:                 cfg.FS,
 			FleetPrior:         cfg.FleetPrior,
 		}
