@@ -366,6 +366,34 @@ func BenchmarkHeterBOSearch(b *testing.B) {
 	}
 }
 
+// BenchmarkHeterBOWarmSearch measures the rerun after a raised budget
+// (§II-C): a full-catalog search warm-started from every observation a
+// cold $100 search paid for, rerun at $200. The cached observations reach
+// the surrogate in one batch with one hyperparameter refit, so ns/op is
+// that batch plus the few new probes the rerun pays for.
+func BenchmarkHeterBOWarmSearch(b *testing.B) {
+	job := mlcd.ResNetCIFAR10
+	space := mlcd.NewSpace(mlcd.DefaultCatalog(), mlcd.DefaultLimits)
+	cold, err := mlcd.NewHeterBO(mlcd.HeterBOOptions{Seed: 42}).Search(job, space,
+		mlcd.FastestWithBudget, mlcd.Constraints{Budget: 100}, mlcd.NewSimProfiler(mlcd.NewSimulator(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	warm := mlcd.ObservationsFromOutcome(cold)
+	if len(warm) < 20 {
+		b.Fatalf("cold search left %d observations, want at least 20", len(warm))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, err := mlcd.NewHeterBO(mlcd.HeterBOOptions{Seed: 42, WarmStart: warm}).Search(job, space,
+			mlcd.FastestWithBudget, mlcd.Constraints{Budget: 200}, mlcd.NewSimProfiler(mlcd.NewSimulator(1)))
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(warm)), "warm-obs")
+}
+
 // BenchmarkDeployFaultFree measures one full deployment — search plus
 // checkpointless training — through the resilient execution layer with
 // no faults injected: the price the retry loop, circuit breaker, and

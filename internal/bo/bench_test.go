@@ -20,12 +20,12 @@ func benchDeployments(n int) []cloud.Deployment {
 	return ds
 }
 
-// BenchmarkSurrogateObserve times absorbing the (n+1)'th observation into
-// a surrogate already conditioned on n. Hyperparameter refits are pushed
-// out of the way (RefitEvery ≫ n) so the number isolates the incremental
-// conditioning path: kernel row against the distance cache plus a
-// Cholesky extension — O(n²). Doubling n should roughly quadruple ns/op;
-// the pre-PR full-refactor path was O(n³) and would octuple.
+// BenchmarkSurrogateObserve times conditioning the (n+1)'th observation
+// into a surrogate already conditioned on n, without the hyperparameter
+// refit Observe adds: kernel row against the distance cache plus a
+// Cholesky extension — O(n²), the per-pair step of ObserveAll. Doubling
+// n should roughly quadruple ns/op; a full refactor per observation is
+// O(n³) and would octuple.
 func BenchmarkSurrogateObserve(b *testing.B) {
 	for _, n := range []int{16, 32, 64, 128} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -38,14 +38,13 @@ func BenchmarkSurrogateObserve(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				s := NewSurrogate(nil, rand.New(rand.NewSource(1)))
-				s.RefitEvery = 1 << 30
 				for j := 0; j < n; j++ {
-					if err := s.Observe(ds[j], ys[j]); err != nil {
+					if err := s.condition(ds[j], ys[j]); err != nil {
 						b.Fatal(err)
 					}
 				}
 				b.StartTimer()
-				if err := s.Observe(ds[n], ys[n]); err != nil {
+				if err := s.condition(ds[n], ys[n]); err != nil {
 					b.Fatal(err)
 				}
 			}

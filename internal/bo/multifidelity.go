@@ -1,6 +1,8 @@
 package bo
 
 import (
+	"fmt"
+
 	"mlcd/internal/cloud"
 	"mlcd/internal/gp"
 	"mlcd/internal/obs"
@@ -111,6 +113,36 @@ func (m *MultiFidelitySurrogate) Observe(d cloud.Deployment, y float64) error {
 	return err
 }
 
+// ObserveAll absorbs a batch of full-fidelity observations with one
+// hyperparameter refit (see Surrogate.ObserveAll) and returns the
+// indices of the pairs it skipped; the ledger records every other pair.
+// It batches the classic delegation, so it must precede any
+// low-fidelity observation.
+func (m *MultiFidelitySurrogate) ObserveAll(ds []cloud.Deployment, ys []float64) (skipped []int, err error) {
+	if m.mixed {
+		panic("bo: ObserveAll after a low-fidelity observation")
+	}
+	skipped, err = m.inner.ObserveAll(ds, ys)
+	next := 0
+	for i, d := range ds {
+		if next < len(skipped) && skipped[next] == i {
+			next++
+			continue
+		}
+		m.record(d, ys[i], 1)
+	}
+	return skipped, err
+}
+
+// record appends a new ledger entry and makes it d's latest.
+func (m *MultiFidelitySurrogate) record(d cloud.Deployment, y, f float64) {
+	m.ds = append(m.ds, d)
+	m.ys = append(m.ys, y)
+	m.fs = append(m.fs, f)
+	m.keys = append(m.keys, d.Type.Name)
+	m.idxByDep[d.Key()] = len(m.ds) - 1
+}
+
 // ObserveAt absorbs an observation taken at fidelity f (≤ 0 or ≥ 1
 // means full). The returned GapUpdate is non-nil exactly when this
 // observation promoted an earlier low-fidelity probe of the same
@@ -139,14 +171,16 @@ func (m *MultiFidelitySurrogate) ObserveAt(d cloud.Deployment, y, f float64) (*G
 			m.fs[i] = 1
 			return up, m.rebuild()
 		}
-		m.ds = append(m.ds, d)
-		m.ys = append(m.ys, y)
-		m.fs = append(m.fs, 1)
-		m.keys = append(m.keys, typeKey)
-		m.idxByDep[depKey] = len(m.ds) - 1
 		if !m.mixed {
-			return nil, m.inner.Observe(d, y)
+			// The ledger follows the serving model: a pair it could not
+			// condition must not resurface in a later rebuild.
+			err := m.inner.Observe(d, y)
+			if m.inner.Len() > len(m.ds) {
+				m.record(d, y, 1)
+			}
+			return nil, err
 		}
+		m.record(d, y, 1)
 		return nil, m.rebuild()
 	}
 
@@ -162,11 +196,7 @@ func (m *MultiFidelitySurrogate) ObserveAt(d cloud.Deployment, y, f float64) (*G
 			m.fs[i] = f
 		}
 	} else {
-		m.ds = append(m.ds, d)
-		m.ys = append(m.ys, y)
-		m.fs = append(m.fs, f)
-		m.keys = append(m.keys, typeKey)
-		m.idxByDep[depKey] = len(m.ds) - 1
+		m.record(d, y, f)
 	}
 	m.mixed = true
 	return nil, m.rebuild()
@@ -174,25 +204,26 @@ func (m *MultiFidelitySurrogate) ObserveAt(d cloud.Deployment, y, f float64) (*G
 
 // rebuild reconditions a fresh GP over the corrected ledger: raw values
 // for full-fidelity entries, gap-corrected ones for pending lows.
-// Hyperparameters are refit once, at the end. The serving model is only
-// replaced on success.
+// Hyperparameters are refit once, at the end (one ObserveAll). The
+// serving model is only replaced when every entry conditioned.
 func (m *MultiFidelitySurrogate) rebuild() error {
 	fresh := NewSurrogate(m.inner.kernel.Clone(), m.inner.rng)
 	fresh.FitWorkers = m.inner.FitWorkers
 	fresh.Perf = m.inner.Perf
 	fresh.SetMean(m.inner.mean)
-	fresh.RefitEvery = len(m.ds)
-	if fresh.RefitEvery < 1 {
-		fresh.RefitEvery = 1
-	}
-	for i, d := range m.ds {
-		y := m.ys[i]
+	ys := make([]float64, len(m.ys))
+	for i, y := range m.ys {
 		if m.fs[i] < 1 {
 			y = m.gap.Correct(m.keys[i], m.fs[i], y)
 		}
-		if err := fresh.Observe(d, y); err != nil {
-			return err
-		}
+		ys[i] = y
+	}
+	skipped, err := fresh.ObserveAll(m.ds, ys)
+	if len(skipped) > 0 {
+		return fmt.Errorf("bo: rebuilding surrogate: %d of %d ledger entries failed to condition", len(skipped), len(m.ds))
+	}
+	if err != nil {
+		return err
 	}
 	m.cur = fresh
 	return nil

@@ -13,27 +13,22 @@ import (
 // Surrogate is a Gaussian-process regressor over the shared deployment
 // feature encoding (cloud.Features). It models the scenario objective
 // (training speed or cost efficiency) as a function of the deployment,
-// refitting kernel hyperparameters by marginal likelihood after every
-// few observations.
+// refitting kernel hyperparameters by marginal likelihood once per
+// Observe or ObserveAll.
 type Surrogate struct {
-	kernel   gp.Kernel
-	rng      *rand.Rand
-	noise    float64
-	xs       [][]float64
-	ys       []float64
-	model    *gp.GP
-	mean     gp.Mean
-	sinceFit int
-	// RefitEvery controls how often hyperparameters are re-optimized
-	// (every observation would be wasteful; default 1 ⇒ always, which is
-	// fine at BO scale).
-	RefitEvery int
+	kernel gp.Kernel
+	rng    *rand.Rand
+	noise  float64
+	xs     [][]float64
+	ys     []float64
+	model  *gp.GP
+	mean   gp.Mean
 	// FitWorkers bounds the goroutines used for the hyperparameter
 	// multi-start (≤1 = serial). Results are identical either way; see
 	// gp.FitMLE.
 	FitWorkers int
-	// Perf, when non-nil, receives wall-clock timings for every
-	// re-conditioning (gp_refactor_seconds).
+	// Perf, when non-nil, receives one wall-clock sample per Observe or
+	// ObserveAll (gp_refactor_seconds).
 	Perf *obs.Perf
 }
 
@@ -47,7 +42,7 @@ func NewSurrogate(kernel gp.Kernel, rng *rand.Rand) *Surrogate {
 	if rng == nil {
 		panic("bo: nil rng")
 	}
-	return &Surrogate{kernel: kernel, rng: rng, noise: 1e-4, RefitEvery: 1}
+	return &Surrogate{kernel: kernel, rng: rng, noise: 1e-4}
 }
 
 // Len returns the number of observations absorbed.
@@ -67,12 +62,48 @@ func (s *Surrogate) SetMean(m gp.Mean) {
 // Mean returns the installed prior mean function (nil = zero mean).
 func (s *Surrogate) Mean() gp.Mean { return s.mean }
 
-// Observe adds a (deployment, objective) pair and re-conditions the GP.
-// When the hyperparameters are unchanged since the last refit, the GP
-// extends its Cholesky factor incrementally in O(n²); the periodic
-// hyperparameter refit still pays the full refactor cost.
+// Observe adds a (deployment, objective) pair, re-conditions the GP and
+// refits the hyperparameters. When the hyperparameters are unchanged
+// since the last refit, the GP extends its Cholesky factor incrementally
+// in O(n²); the refit still pays the full refactor cost. A pair whose
+// conditioning fails is not absorbed: the surrogate keeps its previous
+// observations and posterior.
 func (s *Surrogate) Observe(d cloud.Deployment, y float64) error {
 	start := time.Now()
+	if err := s.condition(d, y); err != nil {
+		return err
+	}
+	return s.refit(start)
+}
+
+// ObserveAll adds a batch of (deployment, objective) pairs with a single
+// hyperparameter refit. Each pair is conditioned in order under the
+// current hyperparameters — the O(n²) Cholesky extension — and a pair
+// whose conditioning fails is skipped, leaving the surrogate as it was
+// before that pair; skipped lists the indices of those pairs. One
+// FitMLE then runs over everything held, and the batch records one
+// gp_refactor_seconds sample. A batch that absorbs nothing refits
+// nothing.
+func (s *Surrogate) ObserveAll(ds []cloud.Deployment, ys []float64) (skipped []int, err error) {
+	if len(ds) != len(ys) {
+		panic(fmt.Sprintf("bo: ObserveAll with %d deployments but %d values", len(ds), len(ys)))
+	}
+	start := time.Now()
+	for i, d := range ds {
+		if s.condition(d, ys[i]) != nil {
+			skipped = append(skipped, i)
+		}
+	}
+	if len(skipped) == len(ds) {
+		return skipped, nil
+	}
+	return skipped, s.refit(start)
+}
+
+// condition appends one pair and re-conditions the GP under the current
+// hyperparameters. On failure the pair is trimmed again; gp.GP.Fit has
+// already rolled the model back to the previous observations.
+func (s *Surrogate) condition(d cloud.Deployment, y float64) error {
 	s.xs = append(s.xs, cloud.Features(d))
 	s.ys = append(s.ys, y)
 	if s.model == nil {
@@ -82,11 +113,18 @@ func (s *Surrogate) Observe(d cloud.Deployment, y float64) error {
 		}
 	}
 	if err := s.model.Fit(s.xs, s.ys); err != nil {
+		s.xs = s.xs[:len(s.xs)-1]
+		s.ys = s.ys[:len(s.ys)-1]
 		return fmt.Errorf("bo: conditioning surrogate: %w", err)
 	}
-	s.sinceFit++
-	if s.Len() >= 3 && s.sinceFit >= s.RefitEvery {
-		s.sinceFit = 0
+	return nil
+}
+
+// refit re-optimizes the hyperparameters by marginal likelihood (below
+// three observations there is too little data to fit them) and records
+// the call's one gp_refactor_seconds sample, timed from start.
+func (s *Surrogate) refit(start time.Time) error {
+	if s.Len() >= 3 {
 		opts := gp.FitMLEOpts{Starts: 3, FitNoise: true, MaxIter: 80, Workers: s.FitWorkers}
 		if err := s.model.FitMLE(s.rng, opts); err != nil {
 			return fmt.Errorf("bo: refitting hyperparameters: %w", err)

@@ -534,7 +534,13 @@ func (st *state) headroom(e *obs.Event) {
 
 // absorbWarmStart folds previously measured observations in at zero
 // profiling cost, including what their OOM probes taught about memory.
+// Every usable observation reaches the surrogate in one batch, so the
+// warm start pays one hyperparameter refit however many points it
+// replays.
 func (st *state) absorbWarmStart() {
+	var ds []cloud.Deployment
+	var ys []float64
+	var at []int // st.obs index of each batched observation
 	for _, o := range st.opts.WarmStart {
 		key := o.Deployment.Key()
 		if st.profiled[key] || o.Deployment.Nodes < 1 {
@@ -553,11 +559,18 @@ func (st *state) absorbWarmStart() {
 			}
 			continue
 		}
-		y := math.Log(search.Objective(st.scen, o.Deployment, o.Throughput))
-		if err := st.surr.Observe(o.Deployment, y); err != nil {
-			// Drop the offending observation; warm starts are advisory.
-			st.obs = st.obs[:len(st.obs)-1]
-		}
+		ds = append(ds, o.Deployment)
+		ys = append(ys, math.Log(search.Objective(st.scen, o.Deployment, o.Throughput)))
+		at = append(at, len(st.obs)-1)
+	}
+	// A failed refit still leaves every absorbed pair conditioned, and
+	// the next probe refits again, so only the skipped pairs need undoing.
+	skipped, _ := st.surr.ObserveAll(ds, ys)
+	// Drop the observations the surrogate could not condition, last
+	// first so earlier indices stay valid; warm starts are advisory.
+	for k := len(skipped) - 1; k >= 0; k-- {
+		i := at[skipped[k]]
+		st.obs = append(st.obs[:i], st.obs[i+1:]...)
 	}
 }
 

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
 
 	"mlcd/internal/bo"
 	"mlcd/internal/cloud"
+	"mlcd/internal/obs"
 	"mlcd/internal/profiler"
 	"mlcd/internal/search"
 	"mlcd/internal/sim"
@@ -376,6 +378,68 @@ func TestWarmStartAbsorbsOOMKnowledge(t *testing.T) {
 		if st.Deployment.Type.Name == "c5.large" {
 			t.Fatalf("re-probed a type the warm start knew to be infeasible: %v", st.Deployment)
 		}
+	}
+}
+
+// TestWarmStartRefitsOnce: a warm start hands every cached observation
+// to the surrogate in one batch, so a warm-started search records one
+// gp_refactor_seconds sample for the whole warm start plus one per full-
+// fidelity probe that reached the surrogate. Its trace stays byte-
+// identical at any hyperparameter-fit worker count.
+func TestWarmStartRefitsOnce(t *testing.T) {
+	j := workload.ResNetCIFAR10
+	_, profA := newProf(1)
+	cold := mustSearch(t, New(Options{Seed: 42}), j, fullSpace, search.FastestWithBudget, search.Constraints{Budget: 100}, profA)
+	var warm []search.Observation
+	usable := 0
+	for _, st := range cold.Steps {
+		if st.Failed {
+			continue
+		}
+		warm = append(warm, search.Observation{Deployment: st.Deployment, Throughput: st.Throughput})
+		if st.Throughput > 0 {
+			usable++
+		}
+	}
+	if usable < 10 {
+		t.Fatalf("cold search left %d usable observations, want at least 10", usable)
+	}
+
+	// The rerun raises the budget, as a tenant would after a first pick.
+	run := func(workers int) (search.Outcome, uint64, []byte) {
+		reg := obs.NewRegistry()
+		rec := obs.NewRecorder(4)
+		opts := Options{Seed: 42, WarmStart: warm, Metrics: reg, Workers: workers,
+			Tracer: rec.Start("job", j.Name, "", "scenario-2")}
+		_, prof := newProf(1)
+		out := mustSearch(t, New(opts), j, fullSpace, search.FastestWithBudget, search.Constraints{Budget: 200}, prof)
+		tr, ok := rec.Get("job")
+		if !ok {
+			t.Fatal("no trace recorded")
+		}
+		b, err := obs.MarshalTrace(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, obs.NewPerf(reg).GPRefactorSeconds.Count(), b
+	}
+	out, refits, serial := run(1)
+	probes := 0
+	for _, st := range out.Steps {
+		if !st.Failed && st.Fidelity == 0 && st.Throughput > 0 {
+			probes++
+		}
+	}
+	if want := uint64(1 + probes); refits != want {
+		t.Fatalf("warm-started search recorded %d refits, want %d (1 for %d warm observations + %d probes)",
+			refits, want, usable, probes)
+	}
+	_, refits2, parallel := run(2)
+	if refits2 != refits {
+		t.Fatalf("refits at 2 workers = %d, at 1 worker = %d", refits2, refits)
+	}
+	if !bytes.Equal(serial, parallel) {
+		t.Fatalf("warm-started trace differs between 1 and 2 workers:\n--- 1 ---\n%s\n--- 2 ---\n%s", serial, parallel)
 	}
 }
 

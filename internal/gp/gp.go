@@ -180,7 +180,9 @@ func (c *diffCache) sync(x [][]float64) {
 // unchanged, the existing Cholesky factor is extended in O(n²); any other
 // change falls back to the full refactorization. Both paths produce
 // bit-identical factors. Fit returns an error if the covariance matrix is
-// numerically singular even after jitter escalation.
+// numerically singular even after jitter escalation; a failed Fit leaves
+// the GP exactly as it was before the call, still conditioned on the
+// previous observations.
 func (g *GP) Fit(x [][]float64, y []float64) error {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("gp: |X|=%d but |y|=%d", len(x), len(y)))
@@ -191,6 +193,7 @@ func (g *GP) Fit(x [][]float64, y []float64) error {
 	extendable := g.chol != nil && g.factorN >= 1 &&
 		len(x) == g.factorN+1 && len(g.x) == g.factorN &&
 		g.paramsUnchanged() && samePrefix(x, g.x)
+	oldX, oldY, oldN := g.x, g.y, g.factorN
 	g.x, g.y = x, y
 	if g.statk != nil {
 		g.diffs.sync(x)
@@ -201,7 +204,20 @@ func (g *GP) Fit(x [][]float64, y []float64) error {
 		g.solveAlpha()
 		return nil
 	}
-	return g.refactor()
+	if err := g.refactor(); err != nil {
+		// A failed refactor leaves the live factor and alpha intact, so
+		// only the data-derived state needs rolling back.
+		g.x, g.y = oldX, oldY
+		if g.statk != nil {
+			g.diffs.sync(oldX)
+		}
+		if len(oldY) > 0 {
+			g.standardize()
+		}
+		g.factorN = oldN
+		return err
+	}
+	return nil
 }
 
 // samePrefix reports whether x starts with exactly the points of old.

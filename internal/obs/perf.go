@@ -14,9 +14,10 @@ var perfBuckets = []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1, 10}
 // exist purely so an operator (or a before/after benchmark) can see where
 // the search loop spends its time.
 type Perf struct {
-	// GPRefactorSeconds times each surrogate re-conditioning: the
-	// kernel-matrix build, Cholesky factorization (or incremental
-	// extension), and hyperparameter refit triggered by one observation.
+	// GPRefactorSeconds times each surrogate re-conditioning, one sample
+	// per Observe or ObserveAll: the Cholesky extension (or full
+	// factorization) of every observation the call absorbs, plus the one
+	// hyperparameter refit that follows.
 	GPRefactorSeconds *Histogram
 	// SearchScoreSeconds times each full candidate-scoring sweep of the
 	// deployment space (the nextCandidate acquisition argmax).
@@ -32,7 +33,7 @@ func NewPerf(r *Registry) *Perf {
 	}
 	return &Perf{
 		GPRefactorSeconds: r.Histogram("gp_refactor_seconds",
-			"Wall-clock seconds per surrogate re-conditioning (fit + hyperparameter refit).",
+			"Wall-clock seconds per surrogate re-conditioning, one sample per Observe or ObserveAll (fit + hyperparameter refit).",
 			perfBuckets),
 		SearchScoreSeconds: r.Histogram("search_score_seconds",
 			"Wall-clock seconds per candidate-scoring sweep in the search core.",
@@ -40,7 +41,8 @@ func NewPerf(r *Registry) *Perf {
 	}
 }
 
-// ObserveGPRefactor records one surrogate re-conditioning duration.
+// ObserveGPRefactor records one surrogate re-conditioning duration (one
+// Observe or ObserveAll).
 // Safe on a nil receiver.
 func (p *Perf) ObserveGPRefactor(d time.Duration) {
 	if p == nil {
