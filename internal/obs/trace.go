@@ -80,7 +80,11 @@ type EventSink interface {
 
 // Recorder keeps one bounded timeline per job. When the retention limit
 // is exceeded the oldest trace is evicted, so a long-running daemon's
-// memory stays bounded no matter how many jobs flow through.
+// memory stays bounded no matter how many jobs flow through. "Oldest"
+// is the order Start was called in; when several goroutines start
+// traces at once — concurrent submissions, or the shard plane's shards
+// recovering their journals in parallel — which traces survive past the
+// limit depends on their timing.
 type Recorder struct {
 	mu     sync.Mutex
 	traces map[string]*Trace

@@ -199,6 +199,7 @@ type Scheduler struct {
 	tenants  map[string]bool // every tenant that has ever submitted here
 	nextID   int
 	active   int  // workers currently running a search
+	started  bool // Start spawned the workers
 	closed   bool // no more submissions; queue channel closed
 	stopping bool // workers must not start queued jobs (hard shutdown)
 }
@@ -303,10 +304,28 @@ func DefaultMenu() map[string]workload.Job {
 	return jobs
 }
 
-// New builds a scheduler over sys, replays the journal if configured,
-// and starts the worker pool. Jobs recovered from the journal are
-// enqueued before any new submission.
+// New is Recover followed by Start: a scheduler whose workers are
+// already draining the jobs recovered from the journal, ahead of any new
+// submission.
 func New(sys *mlcdsys.System, cfg Config) (*Scheduler, error) {
+	s, err := Recover(sys, cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.Start()
+	return s, nil
+}
+
+// Recover builds a scheduler over sys without starting it. With a
+// journal configured it replays it, opens it for appending, folds the
+// replay in (journaled probes prime the cache; unfinished jobs are
+// enqueued ahead of any new submission; jobs whose menu entry vanished
+// are journaled failed), and rebuilds the fleet prior from the primed
+// cache. No worker runs until Start, so a caller assembling several
+// schedulers — the shard plane — can publish shared state before any
+// recovered search begins, or Close them all with every recovered job
+// still owed in its journal.
+func Recover(sys *mlcdsys.System, cfg Config) (*Scheduler, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
@@ -349,7 +368,6 @@ func New(sys *mlcdsys.System, cfg Config) (*Scheduler, error) {
 		if err != nil {
 			return nil, err
 		}
-		recovered = s.absorb(state)
 		jl, err := OpenSegmented(SegmentedConfig{
 			Dir:          cfg.JournalDir,
 			MaxRecords:   cfg.SegmentMaxRecords,
@@ -364,7 +382,11 @@ func New(sys *mlcdsys.System, cfg Config) (*Scheduler, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Open before absorb: the failed records absorb writes for jobs
+		// that left the menu must reach the journal, or they come back
+		// live on the next restart.
 		s.journal = jl
+		recovered = s.absorb(state)
 	}
 
 	if s.fleetOn {
@@ -381,17 +403,30 @@ func New(sys *mlcdsys.System, cfg Config) (*Scheduler, error) {
 	for _, rec := range recovered {
 		s.queue <- rec
 	}
+	return s, nil
+}
 
+// Start spawns the worker pool; until then recovered jobs and new
+// submissions wait in the queue. Only the first call on an open
+// scheduler does anything: one closed before it started never runs its
+// queue.
+func (s *Scheduler) Start() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.started || s.closed {
+		return
+	}
+	s.started = true
 	s.wg.Add(s.workers)
 	for i := 0; i < s.workers; i++ {
 		go s.worker()
 	}
-	return s, nil
 }
 
 // absorb folds a replayed journal into the scheduler state, returning
 // the jobs that must be re-enqueued. Probes prime the shared cache so
-// those deployments are never re-measured.
+// those deployments are never re-measured. A job whose menu entry
+// vanished is failed and journaled, so s.journal must already be open.
 func (s *Scheduler) absorb(state JournalState) []*job {
 	for _, p := range state.Probes {
 		w, ok := s.menu[p.Job]

@@ -461,6 +461,87 @@ func TestUserCancelIsTerminalInJournal(t *testing.T) {
 	}
 }
 
+// TestRecoveredMenuDropStaysFailed: a recovered job whose menu entry is
+// gone fails on restart, and that failure is journaled — a later restart
+// with the full menu must not bring it back to life.
+func TestRecoveredMenuDropStaysFailed(t *testing.T) {
+	journalDir := filepath.Join(t.TempDir(), "journal")
+
+	// Crash with six jobs owed: one held at its first probe, five queued.
+	gate := make(chan struct{})
+	started := make(chan struct{}, 1)
+	a, err := New(newTestSystem(t), Config{
+		Workers:    1,
+		JournalDir: journalDir,
+		ProfilerMiddleware: func(inner profiler.Profiler) profiler.Profiler {
+			return profilerFunc(func(j workload.Job, d cloud.Deployment) profiler.Result {
+				select {
+				case started <- struct{}{}:
+				default:
+				}
+				<-gate
+				return inner.Profile(j, d)
+			})
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for i := 0; i < 6; i++ {
+		j, err := a.Submit("resnet-cifar10", "acme", mlcdsys.Requirements{Budget: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, j.ID)
+	}
+	<-started
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_ = a.Shutdown(ctx)
+	close(gate)
+	a.Close()
+
+	// Restart with resnet-cifar10 gone from the menu: every job fails.
+	menu := DefaultMenu()
+	delete(menu, "resnet-cifar10")
+	b, err := New(newTestSystem(t), Config{Workers: 1, JournalDir: journalDir, Jobs: menu})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids {
+		if got, _ := b.Get(id); got.Status != StatusFailed || !strings.Contains(got.Err, "no longer in the menu") {
+			t.Fatalf("job %s after menu drop = %s %q", id, got.Status, got.Err)
+		}
+	}
+	b.Close()
+
+	// The failures are on disk, so a restart with the full menu resumes
+	// nothing.
+	st, _, err := ReplaySegmented(journalDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sub := range st.Subs {
+		if sub.Status != StatusFailed {
+			t.Fatalf("journaled sub %s status %q, want failed", sub.ID, sub.Status)
+		}
+	}
+	c, err := New(newTestSystem(t), Config{Workers: 1, JournalDir: journalDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, id := range ids {
+		if got, _ := c.Get(id); got.Status != StatusFailed {
+			t.Errorf("job %s after the full menu returned = %s", id, got.Status)
+		}
+	}
+	if st := c.Stats(); st.QueueDepth != 0 || st.JobsByStatus[StatusFailed] != len(ids) {
+		t.Fatalf("restarted stats = %+v", st)
+	}
+}
+
 func TestStatsShape(t *testing.T) {
 	s, err := New(newTestSystem(t), Config{Workers: 3})
 	if err != nil {

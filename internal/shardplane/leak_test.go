@@ -3,7 +3,9 @@ package shardplane
 import (
 	"context"
 	"errors"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -99,6 +101,46 @@ func TestPlaneShutdownNoGoroutineLeak(t *testing.T) {
 		default:
 		}
 		break
+	}
+	awaitGoroutines(t, baseline)
+}
+
+// TestNewFailureNoGoroutineLeak: a plane start that fails because two
+// shard journals are corrupt names the lowest failing shard every time,
+// whichever shard finishes recovering first, and leaves nothing running
+// — the shards that did recover are closed along with their journals'
+// compaction loops, and none of them ever started a worker.
+func TestNewFailureNoGoroutineLeak(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "plane")
+	cfg := Config{Shards: 4, Workers: 2, JournalDir: dir, CompactEvery: time.Hour}
+	h := newHold()
+	cfg.ProfilerMiddleware = h.middleware
+	p, err := New(newTestSystem(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < cfg.Shards; i++ {
+		submitN(t, p, "resnet-cifar10", tenantOnShard(t, p.Ring(), i), 3)
+	}
+	crash(p, h)
+	corruptFirstSegment(t, filepath.Join(dir, "shard-1"))
+	corruptFirstSegment(t, filepath.Join(dir, "shard-3"))
+
+	baseline := goroutineCount()
+	c := newCounting()
+	cfg.ProfilerMiddleware = c.middleware
+	for run := 0; run < 20; run++ {
+		p, err := New(newTestSystem(t), cfg)
+		if err == nil {
+			p.Close()
+			t.Fatalf("run %d: New over two corrupt shard journals succeeded", run)
+		}
+		if !strings.Contains(err.Error(), "building shard 1:") {
+			t.Fatalf("run %d: New = %v, want it to name shard 1", run, err)
+		}
+	}
+	if n := c.n.Load(); n != 0 {
+		t.Errorf("%d probes ran during failed starts", n)
 	}
 	awaitGoroutines(t, baseline)
 }

@@ -118,10 +118,15 @@ func (p *Plane) allShards() []*sched.Scheduler {
 	return out
 }
 
-// New builds the plane over one MLCD system: the ring, then each shard
-// scheduler (replaying its journal directory when configured), then the
-// snapshot merge loop. Shard i journals under JournalDir/shard-i and
-// mints IDs "si-job-NNNN", so every ID is routable back to its shard.
+// New builds the plane over one MLCD system. Shard i journals under
+// JournalDir/shard-i and mints IDs "si-job-NNNN", so every ID is
+// routable back to its shard. The shards recover concurrently
+// (recoverShards), so a restart costs the slowest shard's replay, not
+// the sum; if any fails, New names the lowest failing shard and none of
+// the recovered jobs runs. Otherwise the first merge publishes the
+// recovered caches and fleet prior before any shard starts its workers,
+// so no recovered search begins without the plane-wide warm-start
+// state; the merge and health loops start last.
 func New(sys *mlcdsys.System, cfg Config) (*Plane, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 2
@@ -157,12 +162,11 @@ func New(sys *mlcdsys.System, cfg Config) (*Plane, error) {
 		p.fleetResolve = fleetprior.MenuResolver(jobs)
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		cache := sched.NewProfileCache()
 		sc := sched.Config{
 			Workers:            cfg.Workers,
 			QueueSize:          cfg.QueueSize,
 			Jobs:               cfg.Jobs,
-			Cache:              cache,
+			Cache:              sched.NewProfileCache(),
 			Traces:             p.traces,
 			ProfilerMiddleware: cfg.ProfilerMiddleware,
 			IDPrefix:           fmt.Sprintf("s%d-job", i),
@@ -174,16 +178,15 @@ func New(sys *mlcdsys.System, cfg Config) (*Plane, error) {
 		if cfg.JournalDir != "" {
 			sc.JournalDir = filepath.Join(cfg.JournalDir, fmt.Sprintf("shard-%d", i))
 		}
-		shard, err := sched.New(sys, sc)
-		if err != nil {
-			for _, prev := range p.shards {
-				prev.Close()
-			}
-			return nil, fmt.Errorf("shardplane: building shard %d: %w", i, err)
-		}
-		p.shards = append(p.shards, shard)
-		p.caches = append(p.caches, cache)
 		p.shardCfgs = append(p.shardCfgs, sc)
+	}
+	shards, err := recoverShards(sys, p.shardCfgs)
+	if err != nil {
+		return nil, err
+	}
+	p.shards = shards
+	for i, sc := range p.shardCfgs {
+		p.caches = append(p.caches, sc.Cache)
 		p.health = append(p.health, &shardHealthRec{})
 		label := obs.L{Key: "shard", Value: strconv.Itoa(i)}
 		g := reg.Gauge("mlcd_shardplane_shard_healthy",
@@ -198,9 +201,13 @@ func New(sys *mlcdsys.System, cfg Config) (*Plane, error) {
 			"Times this shard recovered and rejoined the ring.", label))
 	}
 	// Journals replayed: publish what the shards recovered before any
-	// submission, so a tenant remapped by the restart (reshard) finds
-	// its old shard's measurements in the shared tier immediately.
+	// search or submission, so a recovered search warm-starts from every
+	// shard's measurements and a tenant remapped by the restart (reshard)
+	// finds its old shard's measurements in the shared tier immediately.
 	p.MergeNow()
+	for _, s := range shards {
+		s.Start()
+	}
 
 	every := cfg.MergeEvery
 	if every == 0 {
@@ -221,6 +228,36 @@ func New(sys *mlcdsys.System, cfg Config) (*Plane, error) {
 		go p.healthLoop(healthEvery)
 	}
 	return p, nil
+}
+
+// recoverShards runs sched.Recover for every shard config at once and
+// joins. On any failure it closes the shards that did recover — none has
+// started a worker, so none of their recovered jobs runs — and reports
+// the lowest failing index.
+func recoverShards(sys *mlcdsys.System, cfgs []sched.Config) ([]*sched.Scheduler, error) {
+	shards := make([]*sched.Scheduler, len(cfgs))
+	errs := make([]error, len(cfgs))
+	var wg sync.WaitGroup
+	for i, sc := range cfgs {
+		wg.Add(1)
+		go func(i int, sc sched.Config) {
+			defer wg.Done()
+			shards[i], errs[i] = sched.Recover(sys, sc)
+		}(i, sc)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err == nil {
+			continue
+		}
+		for _, s := range shards {
+			if s != nil {
+				s.Close()
+			}
+		}
+		return nil, fmt.Errorf("shardplane: building shard %d: %w", i, err)
+	}
+	return shards, nil
 }
 
 // Ring exposes the tenant→shard mapping.
@@ -447,7 +484,9 @@ func (p *Plane) CompactJournals() error {
 // drill: jobs mid-search when the deadline expires keep their journal
 // claim and are re-enqueued by the replay, the shard's hot cache and
 // the shared snapshot tier survive in the slot, and the shard rejoins
-// traffic the moment the swap lands. Returns how long the shard was
+// traffic the moment the swap lands. The rebuild is sched.Recover, the
+// swap, a merge, then Start: recovered searches begin only once what
+// the replay recovered is published. Returns how long the shard was
 // out of service. On rebuild failure the old (stopped) scheduler stays
 // in the slot, the health loop degrades it, and a later RestartShard
 // may try again.
@@ -455,7 +494,7 @@ func (p *Plane) RestartShard(ctx context.Context, i int) (time.Duration, error) 
 	start := time.Now()
 	old := p.shard(i)
 	_ = old.Shutdown(ctx) // aborted jobs are journal-claimed; replay re-enqueues them
-	fresh, err := sched.New(p.sys, p.shardCfgs[i])
+	fresh, err := sched.Recover(p.sys, p.shardCfgs[i])
 	if err != nil {
 		return time.Since(start), fmt.Errorf("shardplane: rebuilding shard %d: %w", i, err)
 	}
@@ -465,6 +504,7 @@ func (p *Plane) RestartShard(ctx context.Context, i int) (time.Duration, error) 
 	// Publish what the replay recovered so warm-starts survive the
 	// restart immediately instead of waiting for the merge tick.
 	p.MergeNow()
+	fresh.Start()
 	return time.Since(start), nil
 }
 

@@ -48,7 +48,7 @@ func awaitStatus(t *testing.T, p *Plane, id string, want sched.Status) sched.Job
 }
 
 // tenantOnShard finds a tenant name r maps to shard want.
-func tenantOnShard(t *testing.T, r *Ring, want int) string {
+func tenantOnShard(t testing.TB, r *Ring, want int) string {
 	t.Helper()
 	for i := 0; i < 100000; i++ {
 		tenant := fmt.Sprintf("tenant-%d", i)

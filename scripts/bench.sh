@@ -53,6 +53,10 @@ go test -run '^$' -bench 'BenchmarkDeployFaultFree$' -benchtime 400x -count=3 . 
 echo "bench.sh: journal append FS-indirection overhead pair" >&2
 go test -run '^$' -bench 'BenchmarkJournalAppend(Direct)?$' -benchtime 20000x -count=3 ./internal/sched/ >>"$RAW"
 
+echo "bench.sh: sharded plane recovery" >&2
+# Recorded but not gated: no committed record holds a row for it yet.
+go test -run '^$' -bench 'BenchmarkPlaneRecover$' -benchtime 10x -count=3 ./internal/shardplane/ >>"$RAW"
+
 echo "bench.sh: surrogate engine" >&2
 go test -run '^$' -bench 'BenchmarkSurrogateObserve' -benchtime 50x ./internal/bo/ >>"$RAW"
 go test -run '^$' -bench 'BenchmarkFitMLE$' -benchtime 20x ./internal/gp/ >>"$RAW"
