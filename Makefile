@@ -45,8 +45,9 @@ cover-update:
 # The flattened acquisition loop bought a 10× case count in the same
 # CI time (~30s of compute). Correctness invariants stay
 # zero-tolerance; oracle-regret — a quality SLO on a randomized
-# optimizer — is budgeted at 1% tail outliers (seed 7 draws 8/2000,
-# all scenario-2 under-exploration; reproducers are still written).
+# optimizer — is budgeted at 1% tail outliers (seed 7 draws 8/2000, all
+# budget cases: a reproducer's "scenario": 2 is FastestWithBudget, traced
+# as scenario3-fastest-budget; reproducers are still written).
 conformance:
 	$(GO) run -race ./cmd/conformance -cases 2000 -seed 7 -shards 2 -max-regret-outlier-rate 0.01
 

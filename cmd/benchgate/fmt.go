@@ -6,7 +6,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"regexp"
 	"sort"
@@ -42,9 +41,7 @@ type row struct {
 
 // record is the whole benchmark file.
 type record struct {
-	Benchmarks []row              `json:"benchmarks"`
-	Reference  map[string]float64 `json:"reference,omitempty"`
-	Speedup    map[string]float64 `json:"speedup,omitempty"`
+	Benchmarks []row `json:"benchmarks"`
 }
 
 var gomaxprocsSuffix = regexp.MustCompile(`-[0-9]+$`)
@@ -160,30 +157,9 @@ func median(xs []float64) float64 {
 	return (s[n/2-1] + s[n/2]) / 2
 }
 
-// refFlags collects repeated -ref Name=ns flags: frozen reference
-// timings whose ratio to the fresh min lands in the speedup section.
-type refFlags map[string]float64
-
-func (r refFlags) String() string { return fmt.Sprintf("%v", map[string]float64(r)) }
-
-func (r refFlags) Set(v string) error {
-	name, ns, ok := strings.Cut(v, "=")
-	if !ok {
-		return fmt.Errorf("want Name=ns, got %q", v)
-	}
-	f, err := strconv.ParseFloat(ns, 64)
-	if err != nil || f <= 0 {
-		return fmt.Errorf("bad reference ns %q", ns)
-	}
-	r[name] = f
-	return nil
-}
-
 func runFmt(args []string, in io.Reader, stdout io.Writer) error {
 	fs := flag.NewFlagSet("fmt", flag.ContinueOnError)
 	out := fs.String("out", "", "output file (default stdout)")
-	refs := refFlags{}
-	fs.Var(refs, "ref", "frozen reference timing, Name=ns (repeatable)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -194,17 +170,7 @@ func runFmt(args []string, in io.Reader, stdout io.Writer) error {
 	if len(samples) == 0 {
 		return fmt.Errorf("no benchmark lines on input")
 	}
-	rec := record{Benchmarks: aggregate(samples)}
-	if len(refs) > 0 {
-		rec.Reference = refs
-		rec.Speedup = make(map[string]float64)
-		for _, r := range rec.Benchmarks {
-			if ref, ok := refs[r.Name]; ok {
-				rec.Speedup[r.Name] = math.Round(ref/r.NsPerOp*100) / 100
-			}
-		}
-	}
-	buf, err := marshalRecord(rec, *out)
+	buf, err := marshalRecord(record{Benchmarks: aggregate(samples)}, *out)
 	if err != nil {
 		return err
 	}
@@ -236,8 +202,9 @@ func marshalRecord(rec record, out string) ([]byte, error) {
 	if err := json.Unmarshal(own, &ownKeys); err != nil {
 		return nil, err
 	}
-	// Our keys always overwrite; reference/speedup vanish when no -ref
-	// flags were given rather than carrying stale ratios forward.
+	// Our keys always overwrite. Records written before the frozen
+	// cross-machine reference ratios were retired still hold reference/
+	// speedup sections; those are dropped rather than carried forward.
 	delete(merged, "reference")
 	delete(merged, "speedup")
 	for k, v := range ownKeys {

@@ -24,7 +24,7 @@ import (
 
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
-  benchgate fmt [-out file] [-ref Name=ns]... < raw-bench-output
+  benchgate fmt [-out file] < raw-bench-output
   benchgate compare -old file -new file [-bench names] [-max-regress-pct p]
 `)
 	os.Exit(2)

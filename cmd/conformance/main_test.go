@@ -84,8 +84,9 @@ func TestSoakRejectsBadLadder(t *testing.T) {
 }
 
 // TestRegretOutlierClassification replays a shrunk seed-7 soak failure
-// (a scenario-2 case whose pick misses the oracle optimum by more than
-// the regret bound, with every correctness invariant clean): it must
+// (a budget case — "scenario": 2 is FastestWithBudget — whose pick
+// misses the oracle optimum by more than the regret bound, with every
+// correctness invariant clean): it must
 // land in the regretOutliers tally, not failures, and be reported as
 // TAIL with a reproducer still written.
 func TestRegretOutlierClassification(t *testing.T) {

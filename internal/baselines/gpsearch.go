@@ -220,13 +220,6 @@ func randomUnprofiled(rng *rand.Rand, pool []cloud.Deployment, profiled map[stri
 	return cloud.Deployment{}, false
 }
 
-func absf(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
 // incumbent returns the observation maximizing the scenario objective.
 func incumbent(scen search.Scenario, obs []search.Observation) (search.Observation, bool) {
 	bestVal := -1.0

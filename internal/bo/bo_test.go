@@ -175,78 +175,3 @@ func TestQuickPOIRange(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestSampleJointRespectsPosterior(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	s := NewSurrogate(gp.NewMatern52(5), rng)
-	curve := func(n int) float64 { x := float64(n); return 200 * x / (10 + x + 0.02*x*x) }
-	for _, n := range []int{1, 10, 30, 60, 100} {
-		if err := s.Observe(deployment(n), curve(n)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cands := []cloud.Deployment{deployment(5), deployment(20), deployment(45), deployment(80)}
-	const draws = 300
-	sums := make([]float64, len(cands))
-	sqs := make([]float64, len(cands))
-	for k := 0; k < draws; k++ {
-		sample, err := s.SampleJoint(cands, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, v := range sample {
-			sums[i] += v
-			sqs[i] += v * v
-		}
-	}
-	for i, d := range cands {
-		mu, sigma := s.Predict(d)
-		mean := sums[i] / draws
-		sd := math.Sqrt(sqs[i]/draws - mean*mean)
-		if math.Abs(mean-mu) > 4*sigma/math.Sqrt(draws)+1e-6 && math.Abs(mean-mu) > 0.15*(1+math.Abs(mu)) {
-			t.Fatalf("cand %d: sample mean %v far from posterior mean %v (σ=%v)", i, mean, mu, sigma)
-		}
-		if sigma > 1e-3 && (sd < sigma*0.6 || sd > sigma*1.5) {
-			t.Fatalf("cand %d: sample sd %v vs posterior σ %v", i, sd, sigma)
-		}
-	}
-}
-
-func TestThompsonPickPrefersPromisingRegion(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	s := NewSurrogate(gp.NewMatern52(5), rng)
-	// Clear peak at n≈30.
-	curve := func(n int) float64 { x := float64(n); return 200 * x / (10 + x + 0.02*x*x) }
-	for _, n := range []int{1, 10, 30, 60, 100} {
-		if err := s.Observe(deployment(n), curve(n)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cands := []cloud.Deployment{deployment(2), deployment(25), deployment(35), deployment(95)}
-	counts := make([]int, len(cands))
-	for k := 0; k < 200; k++ {
-		idx, err := s.ThompsonPick(cands, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts[idx]++
-	}
-	// The near-peak candidates must dominate the tails.
-	if counts[1]+counts[2] < counts[0]+counts[3] {
-		t.Fatalf("Thompson picks = %v; peak region must dominate", counts)
-	}
-}
-
-func TestSampleJointEdgeCases(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	s := NewSurrogate(gp.NewMatern52(5), rng)
-	if err := s.Observe(deployment(1), 1); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := s.SampleJoint(nil, rng); err != nil || got != nil {
-		t.Fatalf("empty candidates: %v, %v", got, err)
-	}
-	if idx, err := s.ThompsonPick(nil, rng); err != nil || idx != -1 {
-		t.Fatalf("empty Thompson pick: %d, %v", idx, err)
-	}
-}

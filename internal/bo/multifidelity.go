@@ -67,10 +67,6 @@ func NewMultiFidelitySurrogate(inner *Surrogate, priorBeta float64) *MultiFideli
 // SetPerf routes re-conditioning timings (mirrors Surrogate.Perf).
 func (m *MultiFidelitySurrogate) SetPerf(p *obs.Perf) { m.inner.Perf = p }
 
-// SetFitWorkers bounds hyperparameter multi-start goroutines (mirrors
-// Surrogate.FitWorkers).
-func (m *MultiFidelitySurrogate) SetFitWorkers(n int) { m.inner.FitWorkers = n }
-
 // SetMean installs a prior mean function on the serving surrogate and
 // on every future rebuild (mirrors Surrogate.SetMean). Installing it
 // before the first observation keeps the classic delegation exact: a
@@ -208,7 +204,6 @@ func (m *MultiFidelitySurrogate) ObserveAt(d cloud.Deployment, y, f float64) (*G
 // serving model is only replaced when every entry conditioned.
 func (m *MultiFidelitySurrogate) rebuild() error {
 	fresh := NewSurrogate(m.inner.kernel.Clone(), m.inner.rng)
-	fresh.FitWorkers = m.inner.FitWorkers
 	fresh.Perf = m.inner.Perf
 	fresh.SetMean(m.inner.mean)
 	ys := make([]float64, len(m.ys))

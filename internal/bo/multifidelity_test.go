@@ -191,8 +191,8 @@ func TestMultiFidelityRefinementRules(t *testing.T) {
 }
 
 // TestMultiFidelitySurrogateKnobs: the wrapper's pass-through surface —
-// the classic Observe entry point and the perf/fit-worker plumbing land
-// on the inner surrogate.
+// the classic Observe entry point and the perf plumbing land on the
+// inner surrogate.
 func TestMultiFidelitySurrogateKnobs(t *testing.T) {
 	inner := NewSurrogate(gp.NewMatern52(5), rand.New(rand.NewSource(3)))
 	m := NewMultiFidelitySurrogate(inner, 0)
@@ -200,10 +200,6 @@ func TestMultiFidelitySurrogateKnobs(t *testing.T) {
 	m.SetPerf(p)
 	if inner.Perf != p {
 		t.Fatal("SetPerf did not reach the inner surrogate")
-	}
-	m.SetFitWorkers(3)
-	if inner.FitWorkers != 3 {
-		t.Fatalf("FitWorkers = %d, want 3", inner.FitWorkers)
 	}
 	if err := m.Observe(mfDeployment("c5.xlarge", 2), 1.7); err != nil {
 		t.Fatal(err)

@@ -23,10 +23,6 @@ type Surrogate struct {
 	ys     []float64
 	model  *gp.GP
 	mean   gp.Mean
-	// FitWorkers bounds the goroutines used for the hyperparameter
-	// multi-start (≤1 = serial). Results are identical either way; see
-	// gp.FitMLE.
-	FitWorkers int
 	// Perf, when non-nil, receives one wall-clock sample per Observe or
 	// ObserveAll (gp_refactor_seconds).
 	Perf *obs.Perf
@@ -125,7 +121,7 @@ func (s *Surrogate) condition(d cloud.Deployment, y float64) error {
 // the call's one gp_refactor_seconds sample, timed from start.
 func (s *Surrogate) refit(start time.Time) error {
 	if s.Len() >= 3 {
-		opts := gp.FitMLEOpts{Starts: 3, FitNoise: true, MaxIter: 80, Workers: s.FitWorkers}
+		opts := gp.FitMLEOpts{Starts: 3, FitNoise: true, MaxIter: 80}
 		if err := s.model.FitMLE(s.rng, opts); err != nil {
 			return fmt.Errorf("bo: refitting hyperparameters: %w", err)
 		}

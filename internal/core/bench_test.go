@@ -32,7 +32,6 @@ func benchState(b testing.TB) *state {
 		priorBound: make(map[string]int),
 	}
 	st.surr = bo.NewMultiFidelitySurrogate(bo.NewSurrogate(opts.Kernel.Clone(), st.rng), 0)
-	st.surr.SetFitWorkers(opts.Workers)
 	for _, n := range []int{1, 4, 8, 16, 24} {
 		st.probe(cloud.Deployment{Type: space.Types()[0], Nodes: n}, 1, 0, "init")
 	}

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
 	"time"
 
@@ -73,13 +72,6 @@ type Options struct {
 	// timeline served by the daemon's trace endpoint. Events carry no
 	// wall-clock data, so a seeded search traces identically every run.
 	Tracer obs.EventSink
-
-	// Workers bounds the goroutines of the surrogate's hyperparameter
-	// multi-start (default GOMAXPROCS); candidate scoring is one serial
-	// batched sweep. The starts compute into index-addressed slots and
-	// reduce in start order, so a search's decisions — and its trace —
-	// are bit-identical at any worker count.
-	Workers int
 
 	// Metrics, when non-nil, registers the wall-clock performance
 	// histograms gp_refactor_seconds and search_score_seconds. These carry
@@ -150,9 +142,6 @@ func (o Options) withDefaults() Options {
 		o.FailureRetries = 1
 	} else if o.FailureRetries < 0 {
 		o.FailureRetries = 0
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	if len(o.Fidelities) > 0 {
 		norm := make([]float64, 0, len(o.Fidelities))
@@ -299,7 +288,6 @@ func (h *HeterBO) Search(j workload.Job, space *cloud.Space, scen search.Scenari
 	st.surr = bo.NewMultiFidelitySurrogate(bo.NewSurrogate(h.opts.Kernel.Clone(), st.rng), h.opts.GapPriorBeta)
 	st.perf = obs.NewPerf(h.opts.Metrics)
 	st.surr.SetPerf(st.perf)
-	st.surr.SetFitWorkers(h.opts.Workers)
 	st.emit(obs.Event{
 		Kind: "search_started",
 		Note: fmt.Sprintf("%s %s, warm_start=%d", h.Name(), scen, len(h.opts.WarmStart)),
@@ -503,13 +491,6 @@ func (st *state) confirmPending() {
 		}
 		st.probe(best, 1, 0, "confirm")
 	}
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // emit forwards one event to the configured tracer, if any.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -385,7 +386,8 @@ func TestWarmStartAbsorbsOOMKnowledge(t *testing.T) {
 // to the surrogate in one batch, so a warm-started search records one
 // gp_refactor_seconds sample for the whole warm start plus one per full-
 // fidelity probe that reached the surrogate. Its trace stays byte-
-// identical at any hyperparameter-fit worker count.
+// identical at any GOMAXPROCS, which sets the hyperparameter fit's
+// fan-out.
 func TestWarmStartRefitsOnce(t *testing.T) {
 	j := workload.ResNetCIFAR10
 	_, profA := newProf(1)
@@ -406,10 +408,11 @@ func TestWarmStartRefitsOnce(t *testing.T) {
 	}
 
 	// The rerun raises the budget, as a tenant would after a first pick.
-	run := func(workers int) (search.Outcome, uint64, []byte) {
+	run := func(procs int) (search.Outcome, uint64, []byte) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		reg := obs.NewRegistry()
 		rec := obs.NewRecorder(4)
-		opts := Options{Seed: 42, WarmStart: warm, Metrics: reg, Workers: workers,
+		opts := Options{Seed: 42, WarmStart: warm, Metrics: reg,
 			Tracer: rec.Start("job", j.Name, "", "scenario-2")}
 		_, prof := newProf(1)
 		out := mustSearch(t, New(opts), j, fullSpace, search.FastestWithBudget, search.Constraints{Budget: 200}, prof)
@@ -436,10 +439,10 @@ func TestWarmStartRefitsOnce(t *testing.T) {
 	}
 	_, refits2, parallel := run(2)
 	if refits2 != refits {
-		t.Fatalf("refits at 2 workers = %d, at 1 worker = %d", refits2, refits)
+		t.Fatalf("refits at GOMAXPROCS=2 = %d, at GOMAXPROCS=1 = %d", refits2, refits)
 	}
 	if !bytes.Equal(serial, parallel) {
-		t.Fatalf("warm-started trace differs between 1 and 2 workers:\n--- 1 ---\n%s\n--- 2 ---\n%s", serial, parallel)
+		t.Fatalf("warm-started trace differs between GOMAXPROCS 1 and 2:\n--- 1 ---\n%s\n--- 2 ---\n%s", serial, parallel)
 	}
 }
 

@@ -286,7 +286,6 @@ func newSoAState(c soaCase, seed int64) *state {
 	}
 	st.prof = prof
 	st.surr = bo.NewMultiFidelitySurrogate(bo.NewSurrogate(opts.Kernel.Clone(), st.rng), opts.GapPriorBeta)
-	st.surr.SetFitWorkers(opts.Workers)
 	if c.fleet {
 		if fm := newFleetMean(soaFleetPrior(c, simul), c.job, c.space, c.scen); fm != nil {
 			st.surr.SetMean(fm)

@@ -2,13 +2,14 @@ package gp
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
 // fastKernels returns one of each stationary kernel family with randomized
 // hyperparameters inside its search box.
-func fastKernels(dim int, rng *rand.Rand) []Stationary {
-	ks := []Stationary{NewSE(dim), NewMatern32(dim), NewMatern52(dim)}
+func fastKernels(dim int, rng *rand.Rand) []batchStationary {
+	ks := []batchStationary{NewSE(dim), NewMatern52(dim)}
 	for _, k := range ks {
 		b := k.ParamBounds()
 		p := make([]float64, len(b.Lo))
@@ -117,45 +118,107 @@ func TestIncrementalFitMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestFitMLESerialParallelIdentical checks the parallel multi-start
-// contract: same rng stream consumed, same winner installed, identical
-// posterior, identical rng state afterwards.
+// TestFitMLESerialParallelIdentical checks the multi-start fan-out
+// contract: at GOMAXPROCS 1 and above, the same rng stream is consumed,
+// the same winner installed, the posterior identical, and the rng left in
+// the same state.
 func TestFitMLESerialParallelIdentical(t *testing.T) {
-	for _, workers := range []int{2, 3, 8} {
-		rngA := rand.New(rand.NewSource(23))
-		rngB := rand.New(rand.NewSource(23))
-		dataRng := rand.New(rand.NewSource(24))
-
-		a := fitRandom(t, NewMatern52(3), 12, 3, dataRng)
-		dataRng = rand.New(rand.NewSource(24))
-		b := fitRandom(t, NewMatern52(3), 12, 3, dataRng)
-
-		if err := a.FitMLE(rngA, FitMLEOpts{Starts: 4, FitNoise: true, MaxIter: 60}); err != nil {
+	fit := func(procs int) (*GP, *rand.Rand) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		rng := rand.New(rand.NewSource(23))
+		g := fitRandom(t, NewMatern52(3), 12, 3, rand.New(rand.NewSource(24)))
+		if err := g.FitMLE(rng, FitMLEOpts{Starts: 4, FitNoise: true, MaxIter: 60}); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.FitMLE(rngB, FitMLEOpts{Starts: 4, FitNoise: true, MaxIter: 60, Workers: workers}); err != nil {
-			t.Fatal(err)
-		}
+		return g, rng
+	}
+	for _, procs := range []int{2, 3, 8} {
+		a, rngA := fit(1)
+		b, rngB := fit(procs)
 
 		pa, pb := a.Kernel().Params(), b.Kernel().Params()
 		for i := range pa {
 			if pa[i] != pb[i] {
-				t.Fatalf("workers=%d: param %d: serial %v, parallel %v", workers, i, pa[i], pb[i])
+				t.Fatalf("GOMAXPROCS=%d: param %d: serial %v, parallel %v", procs, i, pa[i], pb[i])
 			}
 		}
 		if a.Noise() != b.Noise() {
-			t.Fatalf("workers=%d: noise %v != %v", workers, a.Noise(), b.Noise())
+			t.Fatalf("GOMAXPROCS=%d: noise %v != %v", procs, a.Noise(), b.Noise())
 		}
 		// The rng must be left in the same state: subsequent draws decide
 		// downstream search behavior.
 		if x, y := rngA.Float64(), rngB.Float64(); x != y {
-			t.Fatalf("workers=%d: rng streams diverged: %v vs %v", workers, x, y)
+			t.Fatalf("GOMAXPROCS=%d: rng streams diverged: %v vs %v", procs, x, y)
 		}
 		q := []float64{0.3, -1.2, 0.8}
 		ma, sa := a.Predict(q)
 		mb, sb := b.Predict(q)
 		if ma != mb || sa != sb {
-			t.Fatalf("workers=%d: posterior (%v,%v) != (%v,%v)", workers, ma, sa, mb, sb)
+			t.Fatalf("GOMAXPROCS=%d: posterior (%v,%v) != (%v,%v)", procs, ma, sa, mb, sb)
+		}
+	}
+}
+
+// plainKernel hides a built-in kernel's batch and EvalDiff methods, so a
+// GP over it takes the generic path a custom Kernel would.
+type plainKernel struct{ Kernel }
+
+func (k plainKernel) Clone() Kernel { return plainKernel{k.Kernel.Clone()} }
+
+// TestGenericKernelPathMatchesBatch pins the generic kernel path (kernel
+// matrix from Eval, Cholesky extension from Eval, no difference cache)
+// against the batched one bit for bit: growing fits, a hyperparameter
+// fit, and batched prediction.
+func TestGenericKernelPathMatchesBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	for trial := 0; trial < 10; trial++ {
+		dim := 1 + rng.Intn(4)
+		n := 3 + rng.Intn(10)
+		batch := New(NewMatern52(dim), 1e-4)
+		plain := New(plainKernel{NewMatern52(dim)}, 1e-4)
+		if plain.batchk != nil {
+			t.Fatal("plainKernel still exposes the batch path")
+		}
+		var xs [][]float64
+		var ys []float64
+		for i := 0; i < n; i++ {
+			x := make([]float64, dim)
+			for d := range x {
+				x[d] = rng.NormFloat64() * 2
+			}
+			xs = append(xs, x)
+			ys = append(ys, rng.NormFloat64())
+			if err := batch.Fit(xs, ys); err != nil {
+				t.Fatal(err)
+			}
+			if err := plain.Fit(xs, ys); err != nil {
+				t.Fatal(err)
+			}
+		}
+		seed := rng.Int63()
+		opts := FitMLEOpts{Starts: 2, FitNoise: true, MaxIter: 30}
+		if err := batch.FitMLE(rand.New(rand.NewSource(seed)), opts); err != nil {
+			t.Fatal(err)
+		}
+		if err := plain.FitMLE(rand.New(rand.NewSource(seed)), opts); err != nil {
+			t.Fatal(err)
+		}
+		if lb, lp := batch.LogMarginalLikelihood(), plain.LogMarginalLikelihood(); lb != lp {
+			t.Fatalf("trial %d: LML batch %v, generic %v", trial, lb, lp)
+		}
+		qs := make([]float64, 7*dim)
+		for i := range qs {
+			qs[i] = rng.NormFloat64() * 3
+		}
+		var sb, sp PredictMatrixScratch
+		mb, sgb := make([]float64, 7), make([]float64, 7)
+		mp, sgp := make([]float64, 7), make([]float64, 7)
+		batch.PredictMatrix(qs, dim, mb, sgb, &sb)
+		plain.PredictMatrix(qs, dim, mp, sgp, &sp)
+		for c := range mb {
+			if mb[c] != mp[c] || sgb[c] != sgp[c] {
+				t.Fatalf("trial %d: query %d: batch (%v,%v), generic (%v,%v)", trial, c, mb[c], sgb[c], mp[c], sgp[c])
+			}
 		}
 	}
 }
@@ -186,10 +249,6 @@ func TestBatchKernelMatchesScalar(t *testing.T) {
 		dim := 1 + rng.Intn(6)
 		m := 1 + rng.Intn(20)
 		for _, k := range fastKernels(dim, rng) {
-			bk, ok := k.(batchStationary)
-			if !ok {
-				t.Fatalf("%s: does not implement batchStationary", k.Name())
-			}
 			x := make([]float64, dim)
 			for d := range x {
 				x[d] = rng.NormFloat64() * 3
@@ -201,7 +260,7 @@ func TestBatchKernelMatchesScalar(t *testing.T) {
 			// One query coincides with x so the r2 == 0 branch fires.
 			copy(qs[(m-1)*dim:], x)
 			dst := make([]float64, m)
-			bk.evalRowInto(dst, x, qs)
+			k.evalRowInto(dst, x, qs)
 			for c := 0; c < m; c++ {
 				if want := k.Eval(x, qs[c*dim:(c+1)*dim]); dst[c] != want {
 					t.Fatalf("%s: evalRowInto[%d] = %v, Eval = %v", k.Name(), c, dst[c], want)
@@ -213,14 +272,14 @@ func TestBatchKernelMatchesScalar(t *testing.T) {
 					diffs[c*dim+d] = x[d] - qs[c*dim+d]
 				}
 			}
-			bk.evalDiffBatch(dst, diffs)
+			k.evalDiffBatch(dst, diffs)
 			for c := 0; c < m; c++ {
 				if want := k.EvalDiff(diffs[c*dim : (c+1)*dim]); dst[c] != want {
 					t.Fatalf("%s: evalDiffBatch[%d] = %v, EvalDiff = %v", k.Name(), c, dst[c], want)
 				}
 			}
 			// appendParams must match Params exactly.
-			p := bk.appendParams(nil)
+			p := k.appendParams(nil)
 			for i, v := range k.Params() {
 				if p[i] != v {
 					t.Fatalf("%s: appendParams[%d] = %v, Params = %v", k.Name(), i, p[i], v)

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 
 	"mlcd/internal/mat"
 	"mlcd/internal/optim"
@@ -35,9 +33,9 @@ type Mean interface {
 // The regressor keeps three pieces of derived state to make refitting
 // cheap without changing any numerical result:
 //
-//   - a pairwise-difference cache for stationary kernels, so kernel-matrix
-//     rebuilds during FitMLE are pure O(n²·dim) flops with no
-//     feature-vector traversals;
+//   - a pairwise-difference cache for the built-in stationary kernels
+//     (SE, Matérn 5/2), so kernel-matrix rebuilds during FitMLE are pure
+//     O(n²·dim) flops with no feature-vector traversals;
 //   - scratch buffers (kernel matrix, double-buffered Cholesky, alpha) so
 //     the refit loop allocates nothing after warm-up;
 //   - the jitter and hyperparameters of the current factorization, so a
@@ -46,8 +44,7 @@ type Mean interface {
 //     refactoring in O(n³).
 type GP struct {
 	kernel   Kernel
-	statk    Stationary      // non-nil iff kernel is stationary (diff-cache fast path)
-	batchk   batchStationary // non-nil iff kernel supports row-batched evaluation
+	batchk   batchStationary // non-nil iff kernel supports row-batched evaluation (diff-cache path)
 	logNoise float64         // log of the noise *variance* in standardized units
 
 	x      [][]float64
@@ -67,7 +64,7 @@ type GP struct {
 	chol  *mat.Cholesky
 	alpha []float64 // K⁻¹ y (standardized)
 
-	diffs    diffCache     // raw pairwise differences (stationary kernels only)
+	diffs    diffCache     // raw pairwise differences (batch kernels only)
 	kmat     *mat.Dense    // scratch: kernel matrix without the noise diagonal
 	spare    *mat.Cholesky // double buffer: CholeskyInto target, swapped with chol
 	rowBuf   []float64     // scratch: bordering row for Cholesky.Extend
@@ -85,7 +82,6 @@ func New(k Kernel, noise float64) *GP {
 		noise = 1e-6
 	}
 	g := &GP{kernel: k, logNoise: math.Log(noise), factorN: -1}
-	g.statk, _ = k.(Stationary)
 	g.batchk, _ = k.(batchStationary)
 	return g
 }
@@ -195,7 +191,7 @@ func (g *GP) Fit(x [][]float64, y []float64) error {
 		g.paramsUnchanged() && samePrefix(x, g.x)
 	oldX, oldY, oldN := g.x, g.y, g.factorN
 	g.x, g.y = x, y
-	if g.statk != nil {
+	if g.batchk != nil {
 		g.diffs.sync(x)
 	}
 	g.standardize()
@@ -208,7 +204,7 @@ func (g *GP) Fit(x [][]float64, y []float64) error {
 		// A failed refactor leaves the live factor and alpha intact, so
 		// only the data-derived state needs rolling back.
 		g.x, g.y = oldX, oldY
-		if g.statk != nil {
+		if g.batchk != nil {
 			g.diffs.sync(oldX)
 		}
 		if len(oldY) > 0 {
@@ -284,17 +280,12 @@ func (g *GP) tryExtend() bool {
 	}
 	row := g.rowBuf[:m]
 	var diag float64
-	if g.batchk != nil && m > 0 {
+	if g.batchk != nil {
 		// Pairs (m, 0..m-1) are contiguous in the difference cache's
 		// triangle, so the whole bordering row is one batched call.
 		off := m * (m + 1) / 2 * g.diffs.dim
 		g.batchk.evalDiffBatch(row, g.diffs.data[off:off+m*g.diffs.dim])
-		diag = g.statk.EvalDiff(g.diffs.pair(m, m))
-	} else if g.statk != nil {
-		for j := 0; j < m; j++ {
-			row[j] = g.statk.EvalDiff(g.diffs.pair(m, j))
-		}
-		diag = g.statk.EvalDiff(g.diffs.pair(m, m))
+		diag = g.batchk.EvalDiff(g.diffs.pair(m, m))
 	} else {
 		for j := 0; j < m; j++ {
 			row[j] = g.kernel.Eval(g.x[j], g.x[m])
@@ -374,30 +365,21 @@ func (g *GP) standardizeResiduals() {
 }
 
 // buildK fills the kmat scratch with the kernel matrix (no noise on the
-// diagonal). Stationary kernels evaluate from the difference cache and
-// only fill the lower triangle, which is all the factorization reads.
+// diagonal). Batch kernels evaluate from the difference cache and only
+// fill the lower triangle, which is all the factorization reads.
 func (g *GP) buildK(n int) {
 	if g.kmat == nil {
 		g.kmat = mat.NewDense(n, n)
 	} else {
 		g.kmat.Reset(n, n)
 	}
-	if g.batchk != nil && g.diffs.dim > 0 {
+	if g.batchk != nil {
 		// Row i's pairs (i, 0..i) sit contiguously in the triangle, so
 		// each lower-triangle row fills with one devirtualized call.
 		dim := g.diffs.dim
 		for i := 0; i < n; i++ {
 			off := i * (i + 1) / 2 * dim
 			g.batchk.evalDiffBatch(g.kmat.Row(i)[:i+1], g.diffs.data[off:off+(i+1)*dim])
-		}
-		return
-	}
-	if g.statk != nil {
-		for i := 0; i < n; i++ {
-			row := g.kmat.Row(i)
-			for j := 0; j <= i; j++ {
-				row[j] = g.statk.EvalDiff(g.diffs.pair(i, j))
-			}
 		}
 		return
 	}
@@ -608,42 +590,6 @@ func (g *GP) PredictMatrix(qs []float64, dim int, mu, sigma []float64, s *Predic
 	}
 }
 
-// PosteriorCov returns the joint posterior covariance matrix of the
-// latent function at the query points, in original target units:
-// Σ*ᵢⱼ = k(xᵢ, xⱼ) − k(xᵢ, X)·(K+σ²I)⁻¹·k(X, xⱼ), scaled by yScale².
-func (g *GP) PosteriorCov(xs [][]float64) (*mat.Dense, error) {
-	if g.chol == nil {
-		panic(ErrNoData)
-	}
-	m := len(xs)
-	if m == 0 {
-		return nil, errors.New("gp: PosteriorCov of zero points")
-	}
-	n := len(g.x)
-	// V = L⁻¹ · K(X, X*): column j is ForwardSolve of k(X, x*_j).
-	v := make([][]float64, m)
-	for j := 0; j < m; j++ {
-		ks := make([]float64, n)
-		for i := range g.x {
-			ks[i] = g.kernel.Eval(g.x[i], xs[j])
-		}
-		v[j] = g.chol.ForwardSolve(ks)
-	}
-	scale2 := g.yScale * g.yScale
-	cov := mat.NewDense(m, m)
-	for i := 0; i < m; i++ {
-		for j := i; j < m; j++ {
-			c := g.kernel.Eval(xs[i], xs[j]) - mat.Dot(v[i], v[j])
-			if i == j && c < 0 {
-				c = 0
-			}
-			cov.Set(i, j, c*scale2)
-			cov.Set(j, i, c*scale2)
-		}
-	}
-	return cov, nil
-}
-
 // LogMarginalLikelihood returns log p(y | X, θ) of the standardized
 // targets under the current hyperparameters.
 func (g *GP) LogMarginalLikelihood() float64 {
@@ -659,20 +605,16 @@ type FitMLEOpts struct {
 	Starts   int // multi-start count (default 4)
 	FitNoise bool
 	MaxIter  int // per-start Nelder–Mead iterations (default 120)
-	Workers  int // parallel multi-start fan-out (≤1 = serial; results identical)
 }
 
 // FitMLE fits the kernel hyperparameters (and optionally the noise) by
-// maximizing the log marginal likelihood with multi-start Nelder–Mead.
-// The GP must already have been Fit with data. rng must not be nil.
+// maximizing the log marginal likelihood with optim.MultiStart. The GP
+// must already have been Fit with data. rng must not be nil.
 //
-// With Workers > 1 the starts run concurrently, each on a private clone
-// of the GP (cloned kernel, shared read-only data and difference cache).
-// The random start points are drawn up front in exactly the order
-// optim.MultiStart would draw them — Nelder–Mead itself never consumes
-// the rng — and the winner is reduced in start order with a strict
-// less-than, so the chosen hyperparameters, the rng stream, and therefore
-// every downstream decision are bit-identical to the serial path.
+// Each of MultiStart's goroutines evaluates the likelihood on a private
+// clone of the GP (cloned kernel, shared read-only data and difference
+// cache), so the chosen hyperparameters, the rng stream, and therefore
+// every downstream decision are bit-identical at any GOMAXPROCS.
 func (g *GP) FitMLE(rng *rand.Rand, opts FitMLEOpts) error {
 	if g.chol == nil {
 		panic(ErrNoData)
@@ -692,55 +634,10 @@ func (g *GP) FitMLE(rng *rand.Rand, opts FitMLEOpts) error {
 		lo = append(lo, math.Log(1e-8))
 		hi = append(hi, math.Log(1e-1))
 	}
-	bounds := optim.Bounds{Lo: lo, Hi: hi}
 	nk := len(g.kernel.Params())
-	nmOpts := optim.NelderMeadOpts{MaxIter: opts.MaxIter}
-
-	var res optim.Result
-	if opts.Workers > 1 && opts.Starts > 1 {
-		starts := make([][]float64, opts.Starts)
-		starts[0] = x0
-		for s := 1; s < opts.Starts; s++ {
-			p := make([]float64, len(x0))
-			for i := range p {
-				p[i] = bounds.Lo[i] + rng.Float64()*(bounds.Hi[i]-bounds.Lo[i])
-			}
-			starts[s] = p
-		}
-		results := make([]optim.Result, opts.Starts)
-		workers := opts.Workers
-		if workers > opts.Starts {
-			workers = opts.Starts
-		}
-		var next int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				c := g.cloneForFit()
-				obj := c.mleObjective(nk, opts.FitNoise)
-				for {
-					s := int(atomic.AddInt64(&next, 1)) - 1
-					if s >= opts.Starts {
-						return
-					}
-					results[s] = optim.NelderMead(obj, starts[s], bounds, nmOpts)
-				}
-			}()
-		}
-		wg.Wait()
-		res = results[0]
-		for s := 1; s < opts.Starts; s++ {
-			res.Evals += results[s].Evals
-			if results[s].F < res.F {
-				res.X, res.F = results[s].X, results[s].F
-			}
-		}
-	} else {
-		obj := g.mleObjective(nk, opts.FitNoise)
-		res = optim.MultiStart(obj, x0, bounds, opts.Starts, rng, nmOpts)
-	}
+	newObjective := func() optim.Objective { return g.cloneForFit().mleObjective(nk, opts.FitNoise) }
+	res := optim.MultiStart(newObjective, x0, optim.Bounds{Lo: lo, Hi: hi}, opts.Starts, rng,
+		optim.NelderMeadOpts{MaxIter: opts.MaxIter})
 
 	// Install the winner and leave the GP conditioned on it.
 	g.kernel.SetParams(res.X[:nk])
@@ -783,7 +680,6 @@ func (g *GP) cloneForFit() *GP {
 		diffs:    g.diffs,
 		factorN:  -1,
 	}
-	c.statk, _ = c.kernel.(Stationary)
 	c.batchk, _ = c.kernel.(batchStationary)
 	return c
 }

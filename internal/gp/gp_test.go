@@ -262,48 +262,3 @@ func TestQuickGPShiftEquivariance(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestPosteriorCovDiagonalMatchesPredict(t *testing.T) {
-	x := grid1D(0, 5, 8)
-	y := make([]float64, len(x))
-	for i, xi := range x {
-		y[i] = math.Cos(xi[0])
-	}
-	g := New(NewMatern52(1), 1e-6)
-	if err := g.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	// The first two queries sit in the data-sparse region beyond the
-	// training window, where the posterior covariance is far above the
-	// numerical noise floor (near the data it cancels to ~1e-5).
-	queries := [][]float64{{8.0}, {8.2}, {0.7}}
-	cov, err := g.PosteriorCov(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, q := range queries {
-		_, sigma := g.Predict(q)
-		if diff := math.Abs(cov.At(i, i) - sigma*sigma); diff > 1e-9*(1+sigma*sigma) {
-			t.Fatalf("cov[%d][%d] = %v, Predict σ² = %v", i, i, cov.At(i, i), sigma*sigma)
-		}
-	}
-	// Adjacent extrapolation points must be strongly positively
-	// correlated and obey Cauchy–Schwarz against the diagonal.
-	c01 := cov.At(0, 1)
-	if c01 <= 0 {
-		t.Fatalf("adjacent query points must be positively correlated, got %v", c01)
-	}
-	if c01*c01 > cov.At(0, 0)*cov.At(1, 1)+1e-12 {
-		t.Fatal("posterior covariance violates Cauchy–Schwarz")
-	}
-}
-
-func TestPosteriorCovErrors(t *testing.T) {
-	g := New(NewMatern52(1), 1e-6)
-	if err := g.Fit(grid1D(0, 1, 3), []float64{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.PosteriorCov(nil); err == nil {
-		t.Fatal("zero query points must error")
-	}
-}

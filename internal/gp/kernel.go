@@ -31,26 +31,21 @@ type Kernel interface {
 	Name() string
 }
 
-// Stationary is implemented by kernels whose value depends on the
-// coordinate difference x−y only. EvalDiff evaluates from a precomputed
-// diff vector (diff[i] = x[i] − y[i]) with exactly the floating-point
-// operations Eval(x, y) would execute, so a caller caching raw pairwise
-// differences — the GP's distance cache — reproduces the direct path bit
-// for bit while touching no feature vectors.
-type Stationary interface {
+// batchStationary is the in-package fast path behind GP.PredictMatrix
+// and the kernel-matrix rebuild, implemented by the built-in stationary
+// kernels (SE, Matérn 5/2), whose value depends on the coordinate
+// difference x−y only. EvalDiff evaluates from a precomputed diff vector
+// (diff[i] = x[i] − y[i]) with exactly the floating-point operations
+// Eval(x, y) would execute, so the GP's cache of raw pairwise
+// differences reproduces the direct path bit for bit while touching no
+// feature vectors. The batch forms evaluate a whole row of pairs in one
+// devirtualized call, replaying sqDist's per-pair operation sequence
+// with the lengthscale slice hoisted out of the loop: they exist to
+// amortize interface dispatch, never to change results.
+type batchStationary interface {
 	Kernel
 	// EvalDiff returns k(x, y) given diff[i] = x[i] − y[i].
 	EvalDiff(diff []float64) float64
-}
-
-// batchStationary is the in-package fast path behind GP.PredictMatrix
-// and the kernel-matrix rebuild: one devirtualized call evaluates a
-// whole row of pairs, replaying sqDist's per-pair operation sequence
-// with the lengthscale slice hoisted out of the loop. Every value is
-// bit-identical to the corresponding Eval/EvalDiff call — the batch
-// forms exist to amortize interface dispatch, never to change results.
-type batchStationary interface {
-	Stationary
 	// evalRowInto fills dst[c] = k(x, qs[c·dim : (c+1)·dim]) for the
 	// m = len(dst) queries packed row-major in qs (dim = len(x)).
 	evalRowInto(dst, x, qs []float64)
@@ -227,7 +222,7 @@ func (k *SE) Eval(x, y []float64) float64 {
 	return k.fromR2(sqDist(x, y, k.lengthscales()))
 }
 
-// EvalDiff implements Stationary.
+// EvalDiff returns k(x, y) given diff[i] = x[i] − y[i].
 func (k *SE) EvalDiff(diff []float64) float64 {
 	return k.fromR2(sqDistDiff(diff, k.lengthscales()))
 }
@@ -261,64 +256,6 @@ func (k *SE) Clone() Kernel { return &SE{k.ard.clone()} }
 // Name implements Kernel.
 func (k *SE) Name() string { return "se" }
 
-// Matern32 is the Matérn ν=3/2 kernel with ARD lengthscales:
-// k(r) = σ² (1 + √3 r) exp(−√3 r) where r = √d²(x,y).
-type Matern32 struct{ ard }
-
-// NewMatern32 returns a unit Matérn 3/2 kernel over dim inputs.
-func NewMatern32(dim int) *Matern32 { return &Matern32{newARD(dim)} }
-
-// fromR2 maps one ARD squared distance to the kernel value. At r2 == 0
-// the formula collapses to σ²·(1+0)·exp(−0) = σ²·1·1 exactly, so the
-// short-circuit returns identical bits while skipping the sqrt and exp.
-func (k *Matern32) fromR2(r2 float64) float64 {
-	if r2 == 0 {
-		return k.sig2
-	}
-	r := math.Sqrt(r2)
-	s := math.Sqrt(3) * r
-	return k.sig2 * (1 + s) * math.Exp(-s)
-}
-
-// Eval implements Kernel.
-func (k *Matern32) Eval(x, y []float64) float64 {
-	return k.fromR2(sqDist(x, y, k.lengthscales()))
-}
-
-// EvalDiff implements Stationary.
-func (k *Matern32) EvalDiff(diff []float64) float64 {
-	return k.fromR2(sqDistDiff(diff, k.lengthscales()))
-}
-
-func (k *Matern32) evalRowInto(dst, x, qs []float64) {
-	k.sqDistRow(dst, x, qs)
-	for c, r2 := range dst {
-		dst[c] = k.fromR2(r2)
-	}
-}
-
-func (k *Matern32) evalDiffBatch(dst, diffs []float64) {
-	k.sqDistBatch(dst, diffs)
-	for c, r2 := range dst {
-		dst[c] = k.fromR2(r2)
-	}
-}
-
-// Params implements Kernel.
-func (k *Matern32) Params() []float64 { return k.params() }
-
-// SetParams implements Kernel.
-func (k *Matern32) SetParams(p []float64) { k.setParams(p) }
-
-// ParamBounds implements Kernel.
-func (k *Matern32) ParamBounds() optim.Bounds { return k.bounds() }
-
-// Clone implements Kernel.
-func (k *Matern32) Clone() Kernel { return &Matern32{k.ard.clone()} }
-
-// Name implements Kernel.
-func (k *Matern32) Name() string { return "matern32" }
-
 // Matern52 is the Matérn ν=5/2 kernel with ARD lengthscales:
 // k(r) = σ² (1 + √5 r + 5r²/3) exp(−√5 r). This is the default surrogate
 // kernel, as in CherryPick and most BO practice: it models functions that
@@ -346,7 +283,7 @@ func (k *Matern52) Eval(x, y []float64) float64 {
 	return k.fromR2(sqDist(x, y, k.lengthscales()))
 }
 
-// EvalDiff implements Stationary.
+// EvalDiff returns k(x, y) given diff[i] = x[i] − y[i].
 func (k *Matern52) EvalDiff(diff []float64) float64 {
 	return k.fromR2(sqDistDiff(diff, k.lengthscales()))
 }

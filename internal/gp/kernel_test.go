@@ -10,7 +10,7 @@ import (
 )
 
 func allKernels(dim int) []Kernel {
-	return []Kernel{NewSE(dim), NewMatern32(dim), NewMatern52(dim)}
+	return []Kernel{NewSE(dim), NewMatern52(dim)}
 }
 
 func TestKernelSelfCovarianceIsSigma2(t *testing.T) {

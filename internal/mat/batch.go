@@ -12,39 +12,6 @@ import "fmt"
 // the equivalence property-style and under fuzzing, the same way
 // Cholesky.Extend was pinned against the from-scratch factorization.
 
-// MulInto computes the product a·b into dst, resizing dst as needed and
-// reusing its backing array when capacity allows. The accumulation order
-// per output element matches Mul exactly (k ascending, zero-a[i][k] terms
-// skipped), so MulInto(dst, a, b) and Mul(a, b) are bit-identical.
-func MulInto(dst, a, b *Dense) *Dense {
-	if a.cols != b.rows {
-		panic(fmt.Sprintf("mat: dimension mismatch %d×%d · %d×%d", a.rows, a.cols, b.rows, b.cols))
-	}
-	if dst == a || dst == b {
-		panic("mat: MulInto dst must not alias an operand")
-	}
-	if dst == nil {
-		dst = NewDense(a.rows, b.cols)
-	} else {
-		dst.Reset(a.rows, b.cols)
-	}
-	for i := 0; i < a.rows; i++ {
-		arow := a.Row(i)
-		orow := dst.Row(i)
-		for k := 0; k < a.cols; k++ {
-			av := arow[k]
-			if av == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j := range orow {
-				orow[j] += av * brow[j]
-			}
-		}
-	}
-	return dst
-}
-
 // MulTVecInto computes dst = aᵀ·x, i.e. dst[j] = Σᵢ a[i][j]·x[i], without
 // allocating. The sum over i runs in ascending order, which per column j
 // is exactly Dot(column j of a, x) — the accumulation PredictInto performs
@@ -103,37 +70,4 @@ func (c *Cholesky) ForwardSolveBatchInto(dst, b *Dense) *Dense {
 		}
 	}
 	return dst
-}
-
-// backSolveBatchInto solves Lᵀ·X = Y in place over dst (n×m), mirroring
-// backSolveInto column by column: row i of X depends only on row i of Y
-// and the already-written rows k > i.
-func (c *Cholesky) backSolveBatchInto(dst *Dense) *Dense {
-	if dst.rows != c.n {
-		panic(fmt.Sprintf("mat: backSolveBatchInto rows %d != order %d", dst.rows, c.n))
-	}
-	for i := c.n - 1; i >= 0; i-- {
-		drow := dst.Row(i)
-		for k := i + 1; k < c.n; k++ {
-			lki := c.l.At(k, i)
-			xrow := dst.Row(k)
-			for j, xv := range xrow {
-				drow[j] -= lki * xv
-			}
-		}
-		diag := c.l.At(i, i)
-		for j := range drow {
-			drow[j] /= diag
-		}
-	}
-	return dst
-}
-
-// SymSolveBatchInto solves A·X = B for an n×m block given A = L·Lᵀ,
-// writing X into dst (which may be b for an in-place solve). Column c is
-// bit-identical to SolveVecInto on column c of b: one forward then one
-// backward triangular sweep, in the same per-element order.
-func (c *Cholesky) SymSolveBatchInto(dst, b *Dense) *Dense {
-	dst = c.ForwardSolveBatchInto(dst, b)
-	return c.backSolveBatchInto(dst)
 }

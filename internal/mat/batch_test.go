@@ -43,24 +43,6 @@ func column(m *Dense, j int) []float64 {
 	return out
 }
 
-// TestMulIntoMatchesMul pins MulInto against the allocating Mul across
-// random shapes, including scratch reuse between mismatched sizes.
-func TestMulIntoMatchesMul(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	var dst *Dense
-	for trial := 0; trial < 30; trial++ {
-		r, k, c := 1+rng.Intn(10), 1+rng.Intn(10), 1+rng.Intn(10)
-		a := randomDense(r, k, rng)
-		b := randomDense(k, c, rng)
-		// Sprinkle exact zeros so the zero-skip branch is exercised.
-		if trial%3 == 0 {
-			a.Set(rng.Intn(r), rng.Intn(k), 0)
-		}
-		dst = MulInto(dst, a, b)
-		sameDense(t, dst, Mul(a, b), "MulInto")
-	}
-}
-
 // TestMulTVecIntoMatchesDotPerColumn checks dst[j] is bit-identical to
 // Dot(column j, x) — the exact accumulation PredictInto uses for the
 // posterior mean of one query.
@@ -116,36 +98,10 @@ func TestForwardSolveBatchMatchesPerColumn(t *testing.T) {
 	}
 }
 
-// TestSymSolveBatchMatchesPerColumn pins the full A·X = B batch solve
-// against SolveVecInto per column.
-func TestSymSolveBatchMatchesPerColumn(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	var dst *Dense
-	for trial := 0; trial < 30; trial++ {
-		n, m := 1+rng.Intn(12), 1+rng.Intn(12)
-		chol, err := NewCholesky(randomSPD(n, rng))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := randomDense(n, m, rng)
-		want := NewDense(n, m)
-		col := make([]float64, n)
-		for j := 0; j < m; j++ {
-			chol.SolveVecInto(col, column(b, j))
-			for i := 0; i < n; i++ {
-				want.Set(i, j, col[i])
-			}
-		}
-		dst = chol.SymSolveBatchInto(dst, b)
-		sameDense(t, dst, want, "SymSolveBatchInto")
-		chol.SymSolveBatchInto(b, b)
-		sameDense(t, b, want, "SymSolveBatchInto in place")
-	}
-}
-
-// FuzzForwardSolveBatch drives the batched forward solve with
-// fuzzer-chosen sizes and seeds, asserting per-column bit equality with
-// the vector path — the same harness shape FuzzCholeskyExtend uses.
+// FuzzForwardSolveBatch drives the batched forward solve L·Y = B (the
+// solve gp.PredictMatrix runs) with fuzzer-chosen sizes and seeds,
+// asserting per-column bit equality with ForwardSolveInto — the same
+// harness shape FuzzCholeskyExtend uses.
 func FuzzForwardSolveBatch(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(4))
 	f.Add(int64(42), uint8(8), uint8(1))
@@ -159,10 +115,10 @@ func FuzzForwardSolveBatch(f *testing.F) {
 			t.Skip("factorization failed")
 		}
 		b := randomDense(n, m, rng)
-		got := chol.SymSolveBatchInto(nil, b)
+		got := chol.ForwardSolveBatchInto(nil, b)
 		col := make([]float64, n)
 		for j := 0; j < m; j++ {
-			chol.SolveVecInto(col, column(b, j))
+			chol.ForwardSolveInto(col, column(b, j))
 			for i := 0; i < n; i++ {
 				if got.At(i, j) != col[i] {
 					t.Fatalf("col %d row %d: %v != %v", j, i, got.At(i, j), col[i])

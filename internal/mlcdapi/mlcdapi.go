@@ -32,6 +32,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -325,9 +326,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorJSON{Error: "requirements must be non-negative"})
 		return
 	}
+	// Past time.Duration's range (about 2.56 million hours) the
+	// conversion wraps negative, which would silently drop the deadline.
+	deadline := req.DeadlineHours * float64(time.Hour)
+	if deadline >= math.MaxInt64 {
+		writeJSON(w, http.StatusBadRequest, errorJSON{Error: "deadline_hours out of range"})
+		return
+	}
 	requirements := mlcdsys.Requirements{
 		Budget:   req.BudgetUSD,
-		Deadline: time.Duration(req.DeadlineHours * float64(time.Hour)),
+		Deadline: time.Duration(deadline),
 	}
 	job, err := s.ctl.Submit(req.Job, req.Tenant, requirements)
 	switch {

@@ -143,6 +143,35 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitDeadlineOutOfRange: a deadline past time.Duration's range
+// (about 2,562,047 h) is refused, alone or with a budget, instead of
+// wrapping negative and running as another scenario. One just inside the
+// range is still a deadline search.
+func TestSubmitDeadlineOutOfRange(t *testing.T) {
+	_, hts := newService(t, ServerConfig{})
+	for _, body := range []string{
+		`{"job":"resnet-cifar10","deadline_hours":3e6}`,
+		`{"job":"resnet-cifar10","deadline_hours":3e6,"budget_usd":100}`,
+	} {
+		resp, err := http.Post(hts.URL+"/v1/jobs", "application/json", bytes.NewBufferString(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s → %d, want %d", body, resp.StatusCode, http.StatusBadRequest)
+		}
+	}
+	sub := submit(t, hts.URL, `{"job":"resnet-cifar10","deadline_hours":2.5e6}`)
+	done := await(t, hts.URL, sub.ID)
+	if done.Status != StatusDone {
+		t.Fatalf("status = %s (%s)", done.Status, done.Error)
+	}
+	if done.Report.Scenario != "scenario2-cheapest-deadline" {
+		t.Fatalf("deadline 2.5e6 h ran as %s", done.Report.Scenario)
+	}
+}
+
 func TestListAndGet(t *testing.T) {
 	_, hts := newService(t, ServerConfig{})
 	a := submit(t, hts.URL, `{"job":"resnet-cifar10","budget_usd":100}`)

@@ -122,17 +122,6 @@ func (r *Recorder) Start(jobID, job, tenant, scenario string) *JobTrace {
 	return &JobTrace{rec: r, id: jobID}
 }
 
-// Sink returns the sink for an already-started job, or nil (callers can
-// pass the nil on; JobTrace.Emit tolerates it).
-func (r *Recorder) Sink(jobID string) *JobTrace {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.traces[jobID]; !ok {
-		return nil
-	}
-	return &JobTrace{rec: r, id: jobID}
-}
-
 // Get returns a deep-copied snapshot of jobID's trace.
 func (r *Recorder) Get(jobID string) (Trace, bool) {
 	r.mu.Lock()

@@ -1,13 +1,16 @@
-// Package optim provides the derivative-free optimizers used to fit
+// Package optim provides the derivative-free optimizer used to fit
 // Gaussian-process hyperparameters by maximizing the log marginal
-// likelihood: a bounded Nelder–Mead simplex with multi-start, and a
-// golden-section line search for one-dimensional problems.
+// likelihood: a bounded Nelder–Mead simplex, run from several starts in
+// parallel by MultiStart.
 package optim
 
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
 
 // Objective is a function to be minimized.
@@ -264,51 +267,56 @@ func NelderMead(f Objective, x0 []float64, bounds Bounds, opts NelderMeadOpts) R
 	return Result{X: simplex[0].x, F: simplex[0].f, Evals: evals}
 }
 
-// MultiStart runs NelderMead from x0 plus (starts-1) uniform random points
-// inside the box, returning the best result. rng must not be nil.
-func MultiStart(f Objective, x0 []float64, bounds Bounds, starts int, rng *rand.Rand, opts NelderMeadOpts) Result {
+// MultiStart minimizes with NelderMead from x0 and from starts−1 uniform
+// random points inside the box, returning the best result; Evals sums
+// every start's evaluations. rng must not be nil.
+//
+// Every start point is drawn from rng up front, in start order, before
+// any simplex runs (NelderMead itself never touches rng). The starts then
+// run on min(starts, GOMAXPROCS) goroutines, each calling newObjective
+// once for an objective of its own, so objectives that mutate private
+// state need no locking. Each start writes only its own result slot, and
+// the winner is reduced in start order with a strict less-than. X, F,
+// Evals and the state rng is left in are therefore identical at any
+// GOMAXPROCS.
+func MultiStart(newObjective func() Objective, x0 []float64, bounds Bounds, starts int, rng *rand.Rand, opts NelderMeadOpts) Result {
 	if starts < 1 {
 		starts = 1
 	}
-	best := NelderMead(f, x0, bounds, opts)
+	points := make([][]float64, starts)
+	points[0] = x0
 	for s := 1; s < starts; s++ {
 		x := make([]float64, len(x0))
 		for i := range x {
 			x[i] = bounds.Lo[i] + rng.Float64()*(bounds.Hi[i]-bounds.Lo[i])
 		}
-		r := NelderMead(f, x, bounds, opts)
+		points[s] = x
+	}
+	results := make([]Result, starts)
+	workers := min(starts, runtime.GOMAXPROCS(0))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			f := newObjective()
+			for {
+				s := int(next.Add(1)) - 1
+				if s >= starts {
+					return
+				}
+				results[s] = NelderMead(f, points[s], bounds, opts)
+			}
+		}()
+	}
+	wg.Wait()
+	best := results[0]
+	for _, r := range results[1:] {
 		best.Evals += r.Evals
 		if r.F < best.F {
 			best.X, best.F = r.X, r.F
 		}
 	}
 	return best
-}
-
-// GoldenSection minimizes a unimodal 1-D function on [lo, hi] to within tol.
-func GoldenSection(f func(float64) float64, lo, hi, tol float64) (x, fx float64) {
-	if hi < lo {
-		lo, hi = hi, lo
-	}
-	if tol <= 0 {
-		tol = 1e-8
-	}
-	invPhi := (math.Sqrt(5) - 1) / 2
-	a, b := lo, hi
-	c := b - invPhi*(b-a)
-	d := a + invPhi*(b-a)
-	fc, fd := f(c), f(d)
-	for b-a > tol {
-		if fc < fd {
-			b, d, fd = d, c, fc
-			c = b - invPhi*(b-a)
-			fc = f(c)
-		} else {
-			a, c, fc = c, d, fd
-			d = a + invPhi*(b-a)
-			fd = f(d)
-		}
-	}
-	x = (a + b) / 2
-	return x, f(x)
 }

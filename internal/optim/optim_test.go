@@ -3,6 +3,8 @@ package optim
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -93,7 +95,7 @@ func TestMultiStartEscapesLocalMinimum(t *testing.T) {
 		return math.Min((v+3)*(v+3)+1, (v-4)*(v-4)) // global min 0 at x=4
 	}
 	rng := rand.New(rand.NewSource(7))
-	res := MultiStart(f, []float64{-3}, boxAround(1, -6, 6), 8, rng, NelderMeadOpts{})
+	res := MultiStart(func() Objective { return f }, []float64{-3}, boxAround(1, -6, 6), 8, rng, NelderMeadOpts{})
 	if math.Abs(res.X[0]-4) > 1e-3 {
 		t.Fatalf("x = %v, want 4", res.X[0])
 	}
@@ -101,23 +103,46 @@ func TestMultiStartEscapesLocalMinimum(t *testing.T) {
 
 func TestMultiStartAtLeastOneRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	res := MultiStart(sphere, []float64{1}, boxAround(1, -2, 2), 0, rng, NelderMeadOpts{})
+	res := MultiStart(func() Objective { return sphere }, []float64{1}, boxAround(1, -2, 2), 0, rng, NelderMeadOpts{})
 	if res.F > 1e-6 {
 		t.Fatalf("f = %v", res.F)
 	}
 }
 
-func TestGoldenSection(t *testing.T) {
-	x, fx := GoldenSection(func(v float64) float64 { return (v - 2.5) * (v - 2.5) }, 0, 10, 1e-9)
-	if math.Abs(x-2.5) > 1e-6 || fx > 1e-10 {
-		t.Fatalf("x = %v, fx = %v", x, fx)
+// TestMultiStartIdenticalAtAnyGOMAXPROCS pins the fan-out contract: the
+// same winner, evaluation count and leftover rng state whether the starts
+// run on one goroutine or several, with one objective per goroutine.
+func TestMultiStartIdenticalAtAnyGOMAXPROCS(t *testing.T) {
+	// A bumpy 2-D objective whose starts land in different basins.
+	bumpy := func(x []float64) float64 {
+		return math.Sin(3*x[0])*math.Cos(2*x[1]) + 0.1*(x[0]*x[0]+x[1]*x[1])
 	}
-}
-
-func TestGoldenSectionSwappedBounds(t *testing.T) {
-	x, _ := GoldenSection(func(v float64) float64 { return (v - 1) * (v - 1) }, 5, -5, 1e-9)
-	if math.Abs(x-1) > 1e-6 {
-		t.Fatalf("x = %v, want 1", x)
+	run := func(procs int) (Result, float64, int64) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		var made atomic.Int64
+		newObj := func() Objective {
+			made.Add(1)
+			return bumpy
+		}
+		rng := rand.New(rand.NewSource(11))
+		res := MultiStart(newObj, []float64{0.5, -0.5}, boxAround(2, -4, 4), 6, rng, NelderMeadOpts{})
+		return res, rng.Float64(), made.Load()
+	}
+	want, wantNext, made := run(1)
+	if made != 1 {
+		t.Fatalf("GOMAXPROCS=1 built %d objectives, want 1", made)
+	}
+	for _, procs := range []int{2, 3, 8} {
+		got, next, made := run(procs)
+		if wantMade := int64(min(6, procs)); made != wantMade {
+			t.Fatalf("GOMAXPROCS=%d built %d objectives, want %d", procs, made, wantMade)
+		}
+		if got.F != want.F || got.Evals != want.Evals || got.X[0] != want.X[0] || got.X[1] != want.X[1] {
+			t.Fatalf("GOMAXPROCS=%d: %+v, want %+v", procs, got, want)
+		}
+		if next != wantNext {
+			t.Fatalf("GOMAXPROCS=%d: rng left at %v, want %v", procs, next, wantNext)
+		}
 	}
 }
 

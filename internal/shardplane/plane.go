@@ -468,17 +468,6 @@ func (p *Plane) stopMerge() {
 	})
 }
 
-// CompactJournals compacts every shard's segmented journal immediately,
-// returning the first error.
-func (p *Plane) CompactJournals() error {
-	for _, s := range p.allShards() {
-		if err := s.CompactJournal(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // RestartShard stops shard i with the given deadline and rebuilds it
 // over whatever its journal directory holds — the process-level crash
 // drill: jobs mid-search when the deadline expires keep their journal

@@ -33,27 +33,6 @@ func TestNormCDFKnownValues(t *testing.T) {
 	}
 }
 
-func TestNormQuantileRoundTrip(t *testing.T) {
-	for _, p := range []float64{0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.975, 0.999} {
-		x := NormQuantile(p)
-		if got := NormCDF(x); math.Abs(got-p) > 1e-9 {
-			t.Errorf("CDF(Quantile(%v)) = %v", p, got)
-		}
-	}
-}
-
-func TestNormQuantileEdges(t *testing.T) {
-	if !math.IsInf(NormQuantile(0), -1) {
-		t.Fatal("Quantile(0) must be -Inf")
-	}
-	if !math.IsInf(NormQuantile(1), 1) {
-		t.Fatal("Quantile(1) must be +Inf")
-	}
-	if !math.IsNaN(NormQuantile(-0.1)) || !math.IsNaN(NormQuantile(1.1)) {
-		t.Fatal("out-of-range p must give NaN")
-	}
-}
-
 func TestWelfordMatchesDirect(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	var w Welford

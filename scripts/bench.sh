@@ -10,8 +10,7 @@
 # repeats are aggregated into min and median rather than emitted as
 # duplicate rows, which is how BENCH_PR4.json ended up with three
 # BenchmarkHeterBOSearch entries — with allocation counters and every
-# custom metric preserved, alongside the frozen PR4 references so the
-# flattening work's speedup is auditable from the file alone.
+# custom metric preserved.
 #
 # `benchgate compare` (see scripts/bench_compare.sh) then gates the
 # fresh record against the committed previous one.
@@ -25,14 +24,6 @@ cd "$(dirname "$0")/.."
 OUT="${BENCH_OUT:-BENCH_PR9.json}"
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
-
-# Frozen references: the committed BENCH_PR4.json minima (the surrogate-
-# engine work, pre-flattening), measured on the same class of machine
-# (Intel Xeon @ 2.10GHz, GOMAXPROCS=1) — one full HeterBO scale-out
-# search and one acquisition sweep. The speedup section reports ratios
-# of these to the fresh minima.
-PR4_SEARCH_NS=937047
-PR4_NEXTCAND_NS=56693
 
 echo "bench.sh: figure + ablation suite (1 iteration each)" >&2
 go test -run '^$' -bench 'Fig|Ablation|Fidelity' -benchtime 1x . >>"$RAW"
@@ -62,9 +53,6 @@ go test -run '^$' -bench 'BenchmarkSurrogateObserve' -benchtime 50x ./internal/b
 go test -run '^$' -bench 'BenchmarkFitMLE$' -benchtime 20x ./internal/gp/ >>"$RAW"
 go test -run '^$' -bench 'BenchmarkNextCandidate$' -benchtime 1000x -count=3 ./internal/core/ >>"$RAW"
 
-go run ./cmd/benchgate fmt -out "$OUT" \
-	-ref "BenchmarkHeterBOSearch=$PR4_SEARCH_NS" \
-	-ref "BenchmarkNextCandidate=$PR4_NEXTCAND_NS" \
-	<"$RAW"
+go run ./cmd/benchgate fmt -out "$OUT" <"$RAW"
 
 echo "bench.sh: wrote $OUT" >&2
