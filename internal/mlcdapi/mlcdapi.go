@@ -318,7 +318,12 @@ func toJSON(j sched.Job) submissionJSON {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	dec := json.NewDecoder(r.Body)
+	// A misspelled key would otherwise drop its requirement silently and
+	// run another scenario ("budget" instead of "budget_usd" runs an
+	// unlimited search), so an unknown key is a 400 that names it.
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorJSON{Error: "malformed body: " + err.Error()})
 		return
 	}
@@ -356,7 +361,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, sched.ErrShuttingDown):
 		writeJSON(w, http.StatusServiceUnavailable, errorJSON{Error: err.Error()})
 	default:
-		// Unknown job or invalid requirements.
+		// Unknown job, a tenant name over sched.MaxTenantLen, or invalid
+		// requirements.
 		writeJSON(w, http.StatusBadRequest, errorJSON{Error: err.Error()})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -140,6 +141,26 @@ func TestSubmitValidation(t *testing.T) {
 		if resp.StatusCode != c.want {
 			t.Errorf("%s → %d, want %d", c.body, resp.StatusCode, c.want)
 		}
+	}
+}
+
+// TestSubmitUnknownFieldRefused: a misspelled key is a 400 naming it,
+// not a submission that drops the requirement ("budget" for
+// "budget_usd" would run an unlimited search).
+func TestSubmitUnknownFieldRefused(t *testing.T) {
+	_, hts := newService(t, ServerConfig{})
+	resp, err := http.Post(hts.URL+"/v1/jobs", "application/json",
+		bytes.NewBufferString(`{"job":"resnet-cifar10","budget":100}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = resp.Body.Close() }()
+	var e errorJSON
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, `"budget"`) {
+		t.Fatalf("misspelled key → %d %q, want 400 naming \"budget\"", resp.StatusCode, e.Error)
 	}
 }
 

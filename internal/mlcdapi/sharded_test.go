@@ -164,3 +164,47 @@ func TestShardedJournalRecoveryOverHTTP(t *testing.T) {
 		t.Fatalf("recovered identity mangled: %+v", got)
 	}
 }
+
+// TestOversizedTenantKeepsJournalReplayable: a 2 MiB tenant name is a
+// 400 and never reaches the journal, so a restart over the journal tree
+// still recovers every job acked before it. Journaled, its line would
+// exceed what replay reads, and every later restart of its shard would
+// fail.
+func TestOversizedTenantKeepsJournalReplayable(t *testing.T) {
+	cfg := ServerConfig{Shards: 2, Workers: 1, MergeEvery: -1, JournalDir: t.TempDir()}
+	srvA, htsA := newService(t, cfg)
+	var acked []submissionJSON
+	for _, tenant := range []string{"acme", "globex", "initech", "umbrella"} {
+		sub := submit(t, htsA.URL, fmt.Sprintf(`{"job":"resnet-cifar10","budget_usd":100,"tenant":%q}`, tenant))
+		acked = append(acked, await(t, htsA.URL, sub.ID))
+	}
+
+	body := fmt.Sprintf(`{"job":"resnet-cifar10","budget_usd":100,"tenant":%q}`, strings.Repeat("x", 2<<20))
+	resp, err := http.Post(htsA.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("2 MiB tenant → %d, want %d", resp.StatusCode, http.StatusBadRequest)
+	}
+	srvA.Close()
+
+	_, htsB := newService(t, cfg)
+	for _, want := range acked {
+		resp, err := http.Get(htsB.URL + "/v1/jobs/" + want.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got submissionJSON
+		err = json.NewDecoder(resp.Body).Decode(&got)
+		_ = resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || got.Status != want.Status || got.Tenant != want.Tenant {
+			t.Errorf("%s after restart → %d %s/%q, want %s/%q",
+				want.ID, resp.StatusCode, got.Status, got.Tenant, want.Status, want.Tenant)
+		}
+	}
+}

@@ -3,7 +3,6 @@ package sched
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -31,6 +30,7 @@ import (
 //
 // Each record is fsynced before the triggering operation is considered
 // durable. A torn final line (crash mid-write) is tolerated on replay.
+// Replay decodes each line with decodeRecord (decode.go).
 type journalRecord struct {
 	Type string `json:"type"` // "submit" | "probe" | "done"
 
@@ -190,13 +190,21 @@ func applyRecord(st *JournalState, index map[string]int, rec journalRecord) {
 	}
 }
 
+// maxRecordLine bounds one journal line, its newline included: the
+// replay scanner cannot read a longer one, so append refuses to write
+// it rather than leave a journal no restart can replay.
+const maxRecordLine = 1 << 20
+
+// errRecordTooLong is append's refusal of a line over maxRecordLine.
+var errRecordTooLong = errors.New("sched: journal record too long")
+
 // scanRecords decodes JSONL journal records from r, invoking apply per
 // record, and returns how many records it applied. A torn final line —
 // the tail of a crashed append — is tolerated; an undecodable record
 // followed by more data is mid-file corruption and an error.
 func scanRecords(r io.Reader, apply func(journalRecord)) (int, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	sc.Buffer(make([]byte, 0, 64*1024), maxRecordLine)
 	var torn bool
 	n := 0
 	for sc.Scan() {
@@ -207,8 +215,8 @@ func scanRecords(r io.Reader, apply func(journalRecord)) (int, error) {
 		if torn {
 			return n, fmt.Errorf("sched: journal corrupt: undecodable record followed by %q", string(line))
 		}
-		var rec journalRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
+		rec, err := decodeRecord(line)
+		if err != nil {
 			torn = true // only tolerable if nothing follows
 			continue
 		}

@@ -66,6 +66,11 @@ func (s Status) Valid() bool {
 	return false
 }
 
+// MaxTenantLen bounds a submission's tenant name, in bytes. The name is
+// journaled with every submission, and a journal line must stay within
+// what replay reads (maxRecordLine).
+const MaxTenantLen = 256
+
 // Scheduler errors.
 var (
 	ErrQueueFull    = errors.New("sched: submission queue full")
@@ -73,6 +78,8 @@ var (
 	ErrUnknownJob   = errors.New("sched: unknown job")
 	ErrNotFound     = errors.New("sched: no such submission")
 	ErrFinished     = errors.New("sched: submission already finished")
+	// ErrTenantTooLong refuses a tenant name over MaxTenantLen bytes.
+	ErrTenantTooLong = errors.New("sched: tenant name too long")
 	// ErrJournal wraps every failed journal append: the triggering
 	// operation was refused because its record could not be made durable.
 	// The shard plane maps it to 503 and counts it toward shard health.
@@ -549,13 +556,17 @@ func constraintNote(req mlcdsys.Requirements) string {
 }
 
 // Submit validates, admits, journals, and enqueues one submission.
-// It returns ErrUnknownJob, ErrShuttingDown, or ErrQueueFull without
-// enqueuing anything.
+// It returns ErrUnknownJob, ErrTenantTooLong, ErrShuttingDown, or
+// ErrQueueFull without enqueuing anything.
 func (s *Scheduler) Submit(name, tenant string, req mlcdsys.Requirements) (Job, error) {
 	w, ok := s.menu[name]
 	if !ok {
 		s.m.rejection("unknown_job")
 		return Job{}, fmt.Errorf("%w: %q", ErrUnknownJob, name)
+	}
+	if len(tenant) > MaxTenantLen {
+		s.m.rejection("tenant_too_long")
+		return Job{}, fmt.Errorf("%w: %d bytes, at most %d", ErrTenantTooLong, len(tenant), MaxTenantLen)
 	}
 	scen, _, err := mlcdsys.AnalyzeScenario(req)
 	if err != nil {

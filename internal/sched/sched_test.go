@@ -2,6 +2,7 @@ package sched
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -82,6 +83,36 @@ func TestSubmitAfterCloseRejected(t *testing.T) {
 	s.Close()
 	if _, err := s.Submit("resnet-cifar10", "t", mlcdsys.Requirements{Budget: 100}); err != ErrShuttingDown {
 		t.Fatalf("submit after close = %v", err)
+	}
+}
+
+// TestSubmitTenantTooLong: a tenant over MaxTenantLen bytes is refused
+// before it takes an ID or a journal line; one of exactly MaxTenantLen
+// is admitted as the first job and replays.
+func TestSubmitTenantTooLong(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(newTestSystem(t), Config{JournalDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := strings.Repeat("t", MaxTenantLen+1)
+	if _, err := s.Submit("resnet-cifar10", long, mlcdsys.Requirements{Budget: 100}); !errors.Is(err, ErrTenantTooLong) {
+		t.Fatalf("%d-byte tenant: err = %v, want ErrTenantTooLong", len(long), err)
+	}
+	job, err := s.Submit("resnet-cifar10", long[1:], mlcdsys.Requirements{Budget: 100})
+	if err != nil {
+		t.Fatalf("%d-byte tenant refused: %v", MaxTenantLen, err)
+	}
+	if job.ID != "job-0001" {
+		t.Fatalf("first admitted job is %s, want job-0001: the refusal took an ID", job.ID)
+	}
+	s.Close()
+	st, _, err := ReplaySegmented(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Subs) != 1 || st.Subs[0].Tenant != long[1:] {
+		t.Fatalf("journal holds %d submissions, want the one admitted", len(st.Subs))
 	}
 }
 

@@ -296,7 +296,7 @@ func countRecords(fsys faultfs.FS, path string) (int, error) {
 	}
 	defer func() { _ = f.Close() }()
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	sc.Buffer(make([]byte, 0, 64*1024), maxRecordLine)
 	n := 0
 	for sc.Scan() {
 		if len(sc.Bytes()) > 0 {
@@ -307,7 +307,9 @@ func countRecords(fsys faultfs.FS, path string) (int, error) {
 }
 
 // append writes one record to the active segment, fsyncs it, and
-// rotates when the segment is full.
+// rotates when the segment is full. A record whose line, newline
+// included, exceeds maxRecordLine is refused before anything is
+// written: replay could not read it back.
 //
 // A failed write is rolled back: the active segment is truncated to the
 // last record boundary and the buffered writer replaced, so a short or
@@ -331,6 +333,9 @@ func (j *SegmentedJournal) append(rec journalRecord) error {
 		return fmt.Errorf("sched: encoding journal record: %w", err)
 	}
 	b = append(b, '\n')
+	if len(b) > maxRecordLine {
+		return fmt.Errorf("%w: %d bytes, replay reads at most %d", errRecordTooLong, len(b), maxRecordLine)
+	}
 	if _, err := j.w.Write(b); err != nil {
 		j.rollbackLocked()
 		return fmt.Errorf("sched: appending journal record: %w", err)
