@@ -74,7 +74,7 @@ func TestSurrogateSetMeanBeforeObserve(t *testing.T) {
 // answers with the prior installed.
 func TestMultiFidelityRebuildKeepsMean(t *testing.T) {
 	inner := NewSurrogate(gp.NewMatern52(5), rand.New(rand.NewSource(2)))
-	m := NewMultiFidelitySurrogate(inner, 0)
+	m := NewMultiFidelitySurrogate(inner)
 	m.SetMean(constMean{mu: 3, v: 1})
 	ds := meanTestDeployments(4)
 	for i, d := range ds[:3] {

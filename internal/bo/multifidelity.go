@@ -54,12 +54,12 @@ type GapUpdate struct {
 	Beta float64
 }
 
-// NewMultiFidelitySurrogate wraps a plain surrogate. priorBeta seeds the
-// gap model (≤ 0 → gp.DefaultPriorBeta).
-func NewMultiFidelitySurrogate(inner *Surrogate, priorBeta float64) *MultiFidelitySurrogate {
+// NewMultiFidelitySurrogate wraps a plain surrogate; its gap model
+// starts from gp.DefaultPriorBeta.
+func NewMultiFidelitySurrogate(inner *Surrogate) *MultiFidelitySurrogate {
 	return &MultiFidelitySurrogate{
 		inner:    inner,
-		gap:      gp.NewGapRegressor(priorBeta),
+		gap:      gp.NewGapRegressor(),
 		idxByDep: make(map[string]int),
 	}
 }
@@ -226,8 +226,10 @@ func (m *MultiFidelitySurrogate) rebuild() error {
 
 // GapStd returns the standard deviation of the gap correction applied
 // at d — nonzero only while d's latest measurement is a pending low-
-// fidelity one. The search inflates the GP posterior by it so corrected
-// points remain candidates for a confirming full probe.
+// fidelity one. The search does not add it to the posterior: its sweep
+// skips pending deployments, where GapStd alone is nonzero, and the
+// rebuilt GP conditions corrected values at its one fitted noise. It
+// remains a diagnostic of how far a correction may be off.
 func (m *MultiFidelitySurrogate) GapStd(d cloud.Deployment) float64 {
 	if i, ok := m.idxByDep[d.Key()]; ok && m.fs[i] < 1 {
 		return m.gap.Uncertainty(m.keys[i], m.fs[i])

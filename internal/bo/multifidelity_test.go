@@ -21,7 +21,7 @@ func mfDeployment(typeName string, n int) cloud.Deployment {
 func TestMultiFidelityAllFullBitIdentical(t *testing.T) {
 	plain := NewSurrogate(gp.NewMatern52(5), rand.New(rand.NewSource(42)))
 	multi := NewMultiFidelitySurrogate(
-		NewSurrogate(gp.NewMatern52(5), rand.New(rand.NewSource(42))), 0)
+		NewSurrogate(gp.NewMatern52(5), rand.New(rand.NewSource(42))))
 
 	obsSet := []struct {
 		d cloud.Deployment
@@ -85,7 +85,7 @@ func TestMultiFidelityAllFullBitIdentical(t *testing.T) {
 // and GapStd/LowFidelity flag the pending entry.
 func TestMultiFidelityCorrection(t *testing.T) {
 	m := NewMultiFidelitySurrogate(
-		NewSurrogate(gp.NewMatern52(5), rand.New(rand.NewSource(7))), 0.18)
+		NewSurrogate(gp.NewMatern52(5), rand.New(rand.NewSource(7))))
 	d := mfDeployment("c5.xlarge", 4)
 	up, err := m.ObserveAt(d, 2.0, 0.5)
 	if err != nil {
@@ -97,11 +97,11 @@ func TestMultiFidelityCorrection(t *testing.T) {
 	if f, ok := m.LowFidelity(d); !ok || f != 0.5 {
 		t.Fatalf("LowFidelity = (%v, %v), want (0.5, true)", f, ok)
 	}
-	if got, want := m.GapStd(d), 0.18*0.5; got != want {
+	if got, want := m.GapStd(d), gp.DefaultPriorBeta*0.5; got != want {
 		t.Fatalf("GapStd = %v, want cold uncertainty %v", got, want)
 	}
 	// Best observed reflects the corrected value, not the biased one.
-	if got, want := m.BestObserved(), 2.0+0.18*0.5; math.Abs(got-want) > 1e-12 {
+	if got, want := m.BestObserved(), 2.0+gp.DefaultPriorBeta*0.5; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("BestObserved = %v, want corrected %v", got, want)
 	}
 }
@@ -111,7 +111,7 @@ func TestMultiFidelityCorrection(t *testing.T) {
 // observed gap, and teaches the regressor.
 func TestMultiFidelityPromotion(t *testing.T) {
 	m := NewMultiFidelitySurrogate(
-		NewSurrogate(gp.NewMatern52(5), rand.New(rand.NewSource(7))), 0.18)
+		NewSurrogate(gp.NewMatern52(5), rand.New(rand.NewSource(7))))
 	d := mfDeployment("c5.xlarge", 4)
 	if _, err := m.ObserveAt(d, 2.0, 0.5); err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestMultiFidelityPromotion(t *testing.T) {
 	if math.Abs(up.Observed-0.12) > 1e-12 {
 		t.Fatalf("observed gap = %v, want 0.12", up.Observed)
 	}
-	if math.Abs(up.Predicted-0.18*0.5) > 1e-12 {
+	if math.Abs(up.Predicted-gp.DefaultPriorBeta*0.5) > 1e-12 {
 		t.Fatalf("predicted gap = %v, want prior 0.09", up.Predicted)
 	}
 	if math.Abs(up.Residual-(up.Observed-up.Predicted)) > 1e-15 {
@@ -158,7 +158,7 @@ func TestMultiFidelityPromotion(t *testing.T) {
 // supersedes.
 func TestMultiFidelityRefinementRules(t *testing.T) {
 	m := NewMultiFidelitySurrogate(
-		NewSurrogate(gp.NewMatern52(5), rand.New(rand.NewSource(9))), 0.18)
+		NewSurrogate(gp.NewMatern52(5), rand.New(rand.NewSource(9))))
 	d := mfDeployment("c5.4xlarge", 2)
 	if _, err := m.ObserveAt(d, 3.0, 1); err != nil {
 		t.Fatal(err)
@@ -195,7 +195,7 @@ func TestMultiFidelityRefinementRules(t *testing.T) {
 // inner surrogate.
 func TestMultiFidelitySurrogateKnobs(t *testing.T) {
 	inner := NewSurrogate(gp.NewMatern52(5), rand.New(rand.NewSource(3)))
-	m := NewMultiFidelitySurrogate(inner, 0)
+	m := NewMultiFidelitySurrogate(inner)
 	p := obs.NewPerf(obs.NewRegistry())
 	m.SetPerf(p)
 	if inner.Perf != p {

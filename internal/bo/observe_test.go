@@ -164,7 +164,7 @@ func TestObserveAllSkipsFailedPairs(t *testing.T) {
 func TestMultiFidelityLedgerSkipsFailedPairs(t *testing.T) {
 	ds := benchDeployments(7)
 	const bad = 2
-	m := NewMultiFidelitySurrogate(NewSurrogate(newNaNKernel(ds[bad]), rand.New(rand.NewSource(1))), 0)
+	m := NewMultiFidelitySurrogate(NewSurrogate(newNaNKernel(ds[bad]), rand.New(rand.NewSource(1))))
 	ys := []float64{0.1, 0.4, 0.9, 0.3, 0.7}
 	skipped, err := m.ObserveAll(ds[:5], ys)
 	if err != nil || len(skipped) != 1 || skipped[0] != bad {

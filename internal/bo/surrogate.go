@@ -121,8 +121,7 @@ func (s *Surrogate) condition(d cloud.Deployment, y float64) error {
 // the call's one gp_refactor_seconds sample, timed from start.
 func (s *Surrogate) refit(start time.Time) error {
 	if s.Len() >= 3 {
-		opts := gp.FitMLEOpts{Starts: 3, FitNoise: true, MaxIter: 80}
-		if err := s.model.FitMLE(s.rng, opts); err != nil {
+		if err := s.model.FitMLE(s.rng); err != nil {
 			return fmt.Errorf("bo: refitting hyperparameters: %w", err)
 		}
 	}

@@ -427,7 +427,8 @@ func checkQuarantine(a *Artifacts) []Violation {
 	var v []Violation
 	bad := func(f string, args ...any) { v = append(v, Violation{InvQuarantine, fmt.Sprintf(f, args...)}) }
 
-	// FailureRetries' conformance value is the core default (1).
+	// The search re-probes an infrastructure-failed deployment once
+	// (core's failureRetries) before quarantining it.
 	const failureRetries = 1
 	failures := map[string]int{}
 	measured := map[string]bool{}

@@ -31,7 +31,7 @@ func benchState(b testing.TB) *state {
 		lowProbed:  make(map[string]float64),
 		priorBound: make(map[string]int),
 	}
-	st.surr = bo.NewMultiFidelitySurrogate(bo.NewSurrogate(opts.Kernel.Clone(), st.rng), 0)
+	st.surr = bo.NewMultiFidelitySurrogate(bo.NewSurrogate(opts.Kernel.Clone(), st.rng))
 	for _, n := range []int{1, 4, 8, 16, 24} {
 		st.probe(cloud.Deployment{Type: space.Types()[0], Nodes: n}, 1, 0, "init")
 	}

@@ -218,7 +218,7 @@ func TestOptionsNormalizeFidelities(t *testing.T) {
 
 // TestFullFidelityTraceByteIdentical is the end-to-end byte-identity
 // property: arming the fidelity machinery without any usable rung
-// (Fidelities that normalize away, a non-default gap prior) leaves the
+// (Fidelities that normalize away) leaves the
 // search's full trace — every probe, score, and ledger entry — byte
 // for byte what the classic configuration produces.
 func TestFullFidelityTraceByteIdentical(t *testing.T) {
@@ -240,7 +240,7 @@ func TestFullFidelityTraceByteIdentical(t *testing.T) {
 		return b
 	}
 	classic := run(Options{Seed: 9})
-	armed := run(Options{Seed: 9, Fidelities: []float64{1.0, 0, -0.5, 1.7}, GapPriorBeta: 0.3})
+	armed := run(Options{Seed: 9, Fidelities: []float64{1.0, 0, -0.5, 1.7}})
 	if !bytes.Equal(classic, armed) {
 		t.Fatalf("traces diverged at full fidelity:\n--- classic ---\n%s\n--- armed ---\n%s", classic, armed)
 	}

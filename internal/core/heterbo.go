@@ -35,17 +35,35 @@ import (
 	"mlcd/internal/workload"
 )
 
+// The paper's stopping rule and initialization protocol (§III-C) as
+// fixed constants: no caller tunes them, and the ablation benchmarks
+// switch whole mechanisms off through Options instead.
+const (
+	maxSteps    = 12   // exploration probes after init
+	minSteps    = 3    // exploration probes before the convergence stop may fire
+	eiTolerance = 0.01 // stop when max EI < tol (an expected ~1 % log-ratio gain)
+	confidenceZ = 1.96 // CI filter width: 95 %
+
+	// failureRetries is how many times a deployment whose probe failed
+	// for infrastructure reasons (launch storm, boot timeout) may be
+	// re-probed before the search quarantines it from the candidate set.
+	// A failed probe carries no signal about the deployment itself, so
+	// one retry is cheap insurance against transient cloud weather;
+	// repeated failures mean the launch path is broken and further spend
+	// there is waste.
+	failureRetries = 1
+
+	// randomInitProbes is the init size of the RandomInit ablation.
+	randomInitProbes = 2
+)
+
 // Options configures HeterBO. The zero value gives the paper's method;
-// the Disable* switches exist for the ablation benchmarks.
+// the Disable* switches and RandomInit exist for the ablation
+// benchmarks.
 type Options struct {
 	Kernel      gp.Kernel      // surrogate kernel (default Matérn 5/2)
 	Acquisition bo.Acquisition // base acquisition (default EI, as in §III-C)
 	Seed        int64          // rng seed for surrogate fitting / random init
-
-	MaxSteps    int     // exploration probes after init (default 12)
-	MinSteps    int     // exploration probes before convergence stop may fire (default 3)
-	EITolerance float64 // stop when max EI < tol·|best| (default 0.01)
-	ConfidenceZ float64 // CI filter width (default 1.96 ⇒ 95 %)
 
 	// WarmStart seeds the search with observations from a previous run
 	// of the *same job* (an interrupted search, or a re-run after the
@@ -79,21 +97,6 @@ type Options struct {
 	// the surrogate engine's speed visible on /metrics.
 	Metrics *obs.Registry
 
-	// FailureRetries is how many times a deployment whose probe failed
-	// for infrastructure reasons (launch storm, boot timeout) may be
-	// re-probed before the search quarantines it from the candidate set.
-	// A failed probe carries no signal about the deployment itself, so
-	// one retry is cheap insurance against transient cloud weather;
-	// repeated failures mean the launch path is broken and further spend
-	// there is waste. Default 1; negative means quarantine immediately.
-	FailureRetries int
-
-	// RestartReserve inflates the protective reserve (§III-C) by this
-	// fraction of the projected training time/cost, covering the
-	// checkpoint/restart overhead a spot interruption would add to the
-	// final run. 0 reserves nothing beyond the plain training projection.
-	RestartReserve float64
-
 	// Fidelities is the sub-sampled probing ladder (TrimTuner-style):
 	// fractions in (0, 1) the search may probe at instead of a full
 	// Eq. 7 run. A low probe charges roughly its fraction of the full
@@ -104,16 +107,11 @@ type Options struct {
 	// bit for bit. Values outside (0, 1) are dropped.
 	Fidelities []float64
 
-	// GapPriorBeta seeds the fidelity gap model's prior slope
-	// (≤ 0 → gp.DefaultPriorBeta). Only meaningful with Fidelities set.
-	GapPriorBeta float64
-
 	// Ablation switches.
 	DisableCostPenalty  bool // plain EI selection (no profiling-cost division)
 	DisableConcavePrior bool
 	DisableReserve      bool // no protective budget/deadline reserve
 	RandomInit          bool // random init instead of per-type single nodes
-	InitPoints          int  // number of random init probes (default 2)
 }
 
 func (o Options) withDefaults() Options {
@@ -122,26 +120,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Acquisition == nil {
 		o.Acquisition = bo.EI{}
-	}
-	if o.MaxSteps <= 0 {
-		o.MaxSteps = 12
-	}
-	if o.MinSteps <= 0 {
-		o.MinSteps = 3
-	}
-	if o.EITolerance <= 0 {
-		o.EITolerance = 0.01
-	}
-	if o.ConfidenceZ <= 0 {
-		o.ConfidenceZ = 1.96
-	}
-	if o.InitPoints <= 0 {
-		o.InitPoints = 2
-	}
-	if o.FailureRetries == 0 {
-		o.FailureRetries = 1
-	} else if o.FailureRetries < 0 {
-		o.FailureRetries = 0
 	}
 	if len(o.Fidelities) > 0 {
 		norm := make([]float64, 0, len(o.Fidelities))
@@ -229,7 +207,7 @@ type state struct {
 	lowProbed map[string]float64
 	// failures counts infrastructure-failed probes per deployment;
 	// quarantined removes a deployment from the candidate set once the
-	// count exceeds Options.FailureRetries. A failed probe is a censored
+	// count exceeds failureRetries. A failed probe is a censored
 	// observation: its burned time and dollars debit the TEI headroom
 	// (spentTime/spentCost above) but it teaches nothing about the
 	// deployment, so the key stays re-probeable until quarantined.
@@ -285,7 +263,7 @@ func (h *HeterBO) Search(j workload.Job, space *cloud.Space, scen search.Scenari
 		quarantined: make(map[string]bool),
 		priorBound:  make(map[string]int),
 	}
-	st.surr = bo.NewMultiFidelitySurrogate(bo.NewSurrogate(h.opts.Kernel.Clone(), st.rng), h.opts.GapPriorBeta)
+	st.surr = bo.NewMultiFidelitySurrogate(bo.NewSurrogate(h.opts.Kernel.Clone(), st.rng))
 	st.perf = obs.NewPerf(h.opts.Metrics)
 	st.surr.SetPerf(st.perf)
 	st.emit(obs.Event{
@@ -364,7 +342,7 @@ func (st *state) run() string {
 		// and a censored *anchor* leaves its whole instance type
 		// unmodeled, which the CI/TEI filters then rule out on pure
 		// extrapolation. Retry each failed anchor once (within the
-		// FailureRetries allowance) so type coverage survives a fault.
+		// failureRetries allowance) so type coverage survives a fault.
 		for _, d := range st.initialDeployments() {
 			if st.failures[d.Key()] == 0 || st.profiled[d.Key()] || st.pruned(d) || !st.admissible(d) {
 				continue
@@ -395,7 +373,7 @@ func (st *state) run() string {
 		return "no feasible deployment found"
 	}
 
-	for explored := 0; explored < st.opts.MaxSteps; explored++ {
+	for explored := 0; explored < maxSteps; explored++ {
 		st.updatePrior()
 		cand, score, ok := st.nextCandidate()
 		if !ok {
@@ -404,8 +382,8 @@ func (st *state) run() string {
 		}
 		// Convergence: the surrogate works in log-objective, so EI is an
 		// expected log-ratio gain; stop when even the most promising
-		// candidate offers less than ~EITolerance×100 % improvement.
-		if explored >= st.opts.MinSteps && score.maxRawEI < st.opts.EITolerance {
+		// candidate offers less than ~eiTolerance×100 % improvement.
+		if explored >= minSteps && score.maxRawEI < eiTolerance {
 			st.confirmPending()
 			return "expected improvement below tolerance"
 		}
@@ -530,14 +508,7 @@ func (st *state) absorbWarmStart() {
 		st.profiled[key] = true
 		st.obs = append(st.obs, o)
 		if o.Throughput <= 0 {
-			cap := nodeCapacityGiB(o.Deployment.Type)
-			if st.job.Model.ShardedStates {
-				if total := cap * float64(o.Deployment.Nodes); total > st.oomShardedCap {
-					st.oomShardedCap = total
-				}
-			} else if cap > st.oomReplicatedCap {
-				st.oomReplicatedCap = cap
-			}
+			st.learnOOM(o.Deployment)
 			continue
 		}
 		ds = append(ds, o.Deployment)
@@ -552,6 +523,20 @@ func (st *state) absorbWarmStart() {
 	for k := len(skipped) - 1; k >= 0; k-- {
 		i := at[skipped[k]]
 		st.obs = append(st.obs[:i], st.obs[i+1:]...)
+	}
+}
+
+// learnOOM folds an OOM probe of d into the memory-feasibility bounds:
+// a replicated-state model needs more per-node capacity than d offers,
+// a sharded one more total capacity than d's cluster.
+func (st *state) learnOOM(d cloud.Deployment) {
+	cap := nodeCapacityGiB(d.Type)
+	if st.job.Model.ShardedStates {
+		if total := cap * float64(d.Nodes); total > st.oomShardedCap {
+			st.oomShardedCap = total
+		}
+	} else if cap > st.oomReplicatedCap {
+		st.oomReplicatedCap = cap
 	}
 }
 
@@ -649,7 +634,7 @@ func (st *state) cheapestCandidate() (cloud.Deployment, bool) {
 func (st *state) initialDeployments() []cloud.Deployment {
 	if st.opts.RandomInit {
 		var out []cloud.Deployment
-		for i := 0; i < st.opts.InitPoints && st.space.Len() > 0; i++ {
+		for i := 0; i < randomInitProbes && st.space.Len() > 0; i++ {
 			out = append(out, st.space.At(st.rng.Intn(st.space.Len())))
 		}
 		return out
@@ -819,7 +804,7 @@ func (st *state) probe(d cloud.Deployment, fid, acq float64, note string) profil
 		// observation is recorded and the key stays eligible for a
 		// retry — until repeated failures quarantine it.
 		st.failures[key]++
-		if st.failures[key] > st.opts.FailureRetries {
+		if st.failures[key] > failureRetries {
 			st.quarantined[key] = true
 			if ci >= 0 {
 				st.cand.quarantined[ci] = true
@@ -835,14 +820,7 @@ func (st *state) probe(d cloud.Deployment, fid, acq float64, note string) profil
 	if r.Throughput <= 0 {
 		// OOM: learn the memory-feasibility boundary instead of
 		// modeling it with the GP.
-		cap := nodeCapacityGiB(d.Type)
-		if st.job.Model.ShardedStates {
-			if total := cap * float64(d.Nodes); total > st.oomShardedCap {
-				st.oomShardedCap = total
-			}
-		} else if cap > st.oomReplicatedCap {
-			st.oomReplicatedCap = cap
-		}
+		st.learnOOM(d)
 		return r
 	}
 	// The surrogate models log-objective: scale-out and scale-up act
@@ -921,7 +899,6 @@ func (st *state) updatePrior() {
 // candidateScore carries the pieces of one candidate's evaluation.
 type candidateScore struct {
 	score    float64 // cost-penalized acquisition (what is maximized)
-	rawEI    float64 // unpenalized EI of the selected candidate
 	maxRawEI float64 // largest unpenalized EI over ALL candidates — the
 	// convergence test must look at this, or a promising-but-expensive
 	// candidate could never veto a premature "converged" verdict
@@ -1190,7 +1167,7 @@ func (st *state) scanCandidates() (cloud.Deployment, candidateScore, bool) {
 	for c, i := range candIdx {
 		d := cs.deps[i]
 		sig := ar.sigma[c]
-		optimistic := ar.mu[c] + st.opts.ConfidenceZ*sig
+		optimistic := ar.mu[c] + confidenceZ*sig
 		// 95 % CI filter (§III-C stop condition): skip candidates whose
 		// optimistic bound cannot beat the feasible incumbent.
 		if optimistic <= bestObj {
@@ -1232,7 +1209,7 @@ func (st *state) scanCandidates() (cloud.Deployment, candidateScore, bool) {
 			}
 			if !found || score > bestScore.score {
 				best = d
-				bestScore.score, bestScore.rawEI, bestScore.fid, bestScore.note = score, ei, f, note
+				bestScore.score, bestScore.fid, bestScore.note = score, f, note
 				found = true
 			}
 		}
@@ -1450,30 +1427,23 @@ func (st *state) reservePick() (search.Observation, bool) {
 // reserveTrainTime returns the training time of the current best pick —
 // the slice of deadline that must stay untouched so stopping now still
 // meets the constraint. Probing anything that would erode it is
-// over-exploration. RestartReserve widens the slice by the projected
-// checkpoint/restart overhead of a spot-interrupted final run.
+// over-exploration.
 func (st *state) reserveTrainTime() (time.Duration, bool) {
 	o, ok := st.reservePick()
 	if !ok {
 		return 0, false
 	}
-	t := search.EstTrainTime(st.job, o.Throughput)
-	if st.opts.RestartReserve > 0 {
-		t += time.Duration(float64(t) * st.opts.RestartReserve)
-	}
-	return t, true
+	return search.EstTrainTime(st.job, o.Throughput), true
 }
 
 // reserveTrainCost returns the training cost of the current best pick —
-// the slice of budget reserved so stopping now still fits it, widened by
-// RestartReserve for checkpoint/restart overhead.
+// the slice of budget reserved so stopping now still fits it.
 func (st *state) reserveTrainCost() (float64, bool) {
 	o, ok := st.reservePick()
 	if !ok {
 		return 0, false
 	}
-	c := search.EstTrainCost(st.job, o.Deployment, o.Throughput)
-	return c * (1 + st.opts.RestartReserve), true
+	return search.EstTrainCost(st.job, o.Deployment, o.Throughput), true
 }
 
 // safetyMargin is the headroom kept against measurement noise: probes

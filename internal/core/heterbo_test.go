@@ -218,7 +218,7 @@ func TestAblationNoReserveCanViolateBudget(t *testing.T) {
 
 func TestRandomInitAblation(t *testing.T) {
 	_, prof := newProf(1)
-	out := mustSearch(t, New(Options{Seed: 42, RandomInit: true, InitPoints: 2}), workload.ResNetCIFAR10, scaleOut, search.FastestUnlimited, search.Constraints{}, prof)
+	out := mustSearch(t, New(Options{Seed: 42, RandomInit: true}), workload.ResNetCIFAR10, scaleOut, search.FastestUnlimited, search.Constraints{}, prof)
 	inits := 0
 	for _, st := range out.Steps {
 		if st.Note == "init" {

@@ -99,7 +99,7 @@ func refNextCandidate(st *state) (cloud.Deployment, candidateScore, bool) {
 	)
 	for i, d := range cands {
 		sig := sigma[i] + st.surr.GapStd(d)
-		optimistic := mu[i] + st.opts.ConfidenceZ*sig
+		optimistic := mu[i] + confidenceZ*sig
 		if optimistic <= bestObj {
 			continue
 		}
@@ -131,7 +131,7 @@ func refNextCandidate(st *state) (cloud.Deployment, candidateScore, bool) {
 			}
 			if !found || score > bestScore.score {
 				best = d
-				bestScore.score, bestScore.rawEI, bestScore.fid, bestScore.note = score, ei, f, note
+				bestScore.score, bestScore.fid, bestScore.note = score, f, note
 				found = true
 			}
 		}
@@ -285,7 +285,7 @@ func newSoAState(c soaCase, seed int64) *state {
 		prof = &flakyProfiler{inner: prof, rng: rand.New(rand.NewSource(seed + 7)), rate: c.flakyRate}
 	}
 	st.prof = prof
-	st.surr = bo.NewMultiFidelitySurrogate(bo.NewSurrogate(opts.Kernel.Clone(), st.rng), opts.GapPriorBeta)
+	st.surr = bo.NewMultiFidelitySurrogate(bo.NewSurrogate(opts.Kernel.Clone(), st.rng))
 	if c.fleet {
 		if fm := newFleetMean(soaFleetPrior(c, simul), c.job, c.space, c.scen); fm != nil {
 			st.surr.SetMean(fm)
@@ -337,7 +337,7 @@ func TestScanCandidatesMatchesReference(t *testing.T) {
 					t.Skip("no feasible init for this case")
 				}
 				steps := 0
-				for explored := 0; explored < st.opts.MaxSteps; explored++ {
+				for explored := 0; explored < maxSteps; explored++ {
 					st.updatePrior()
 					refD, refScore, refOK := refNextCandidate(st)
 					gotD, gotScore, gotOK := st.nextCandidate()
@@ -345,7 +345,7 @@ func TestScanCandidatesMatchesReference(t *testing.T) {
 					if !gotOK {
 						break
 					}
-					if explored >= st.opts.MinSteps && gotScore.maxRawEI < st.opts.EITolerance {
+					if explored >= minSteps && gotScore.maxRawEI < eiTolerance {
 						break
 					}
 					st.probe(gotD, gotScore.fid, gotScore.score, gotScore.note)

@@ -162,30 +162,6 @@ func TestAdmissibleBudgetBoundary(t *testing.T) {
 	}
 }
 
-// TestReserveWidensWithRestartReserve pins the RestartReserve knob: a
-// 0.5 fraction reserves 1.5 h instead of 1 h for the fallback run, so
-// the last admissible minute moves from 43 min to 13 min of spend.
-func TestReserveWidensWithRestartReserve(t *testing.T) {
-	d := c5xlarge4(t)
-	st := &state{
-		job:  stopJob(),
-		scen: search.CheapestWithDeadline,
-		cons: search.Constraints{Deadline: 2 * time.Hour},
-		obs: []search.Observation{
-			{Deployment: d, Throughput: 2},
-		},
-		spentTime: 14 * time.Minute,
-	}
-	st.opts.RestartReserve = 0.5
-	if st.admissible(d) {
-		t.Error("spent=14min must be inadmissible with a 90-min widened reserve")
-	}
-	st.spentTime = 13 * time.Minute
-	if !st.admissible(d) {
-		t.Error("spent=13min leaves headroom exactly 90min; must be admissible")
-	}
-}
-
 // TestReserveOnlyBindsWithFallback: before any feasible observation
 // exists, exploring is the only route to feasibility, so only the probe
 // price itself gates admission (the reserve term of Eqs. 5–6 is

@@ -34,7 +34,7 @@ func BenchmarkFitMLE(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rng := rand.New(rand.NewSource(7))
-		if err := g.FitMLE(rng, FitMLEOpts{Starts: 3, FitNoise: true, MaxIter: 80}); err != nil {
+		if err := g.FitMLE(rng); err != nil {
 			b.Fatal(err)
 		}
 	}

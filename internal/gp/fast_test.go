@@ -127,7 +127,7 @@ func TestFitMLESerialParallelIdentical(t *testing.T) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		rng := rand.New(rand.NewSource(23))
 		g := fitRandom(t, NewMatern52(3), 12, 3, rand.New(rand.NewSource(24)))
-		if err := g.FitMLE(rng, FitMLEOpts{Starts: 4, FitNoise: true, MaxIter: 60}); err != nil {
+		if err := g.FitMLE(rng); err != nil {
 			t.Fatal(err)
 		}
 		return g, rng
@@ -196,11 +196,10 @@ func TestGenericKernelPathMatchesBatch(t *testing.T) {
 			}
 		}
 		seed := rng.Int63()
-		opts := FitMLEOpts{Starts: 2, FitNoise: true, MaxIter: 30}
-		if err := batch.FitMLE(rand.New(rand.NewSource(seed)), opts); err != nil {
+		if err := batch.FitMLE(rand.New(rand.NewSource(seed))); err != nil {
 			t.Fatal(err)
 		}
-		if err := plain.FitMLE(rand.New(rand.NewSource(seed)), opts); err != nil {
+		if err := plain.FitMLE(rand.New(rand.NewSource(seed))); err != nil {
 			t.Fatal(err)
 		}
 		if lb, lp := batch.LogMarginalLikelihood(), plain.LogMarginalLikelihood(); lb != lp {

@@ -38,13 +38,9 @@ type gapFit struct {
 	n        int
 }
 
-// NewGapRegressor returns a regressor anchored at priorBeta
-// (≤ 0 → DefaultPriorBeta).
-func NewGapRegressor(priorBeta float64) *GapRegressor {
-	if priorBeta <= 0 {
-		priorBeta = DefaultPriorBeta
-	}
-	return &GapRegressor{PriorBeta: priorBeta, PriorWeight: 1, byKey: make(map[string]*gapFit)}
+// NewGapRegressor returns a regressor anchored at DefaultPriorBeta.
+func NewGapRegressor() *GapRegressor {
+	return &GapRegressor{PriorBeta: DefaultPriorBeta, PriorWeight: 1, byKey: make(map[string]*gapFit)}
 }
 
 // Observe records one measured pair: the same point's log-objective at
@@ -94,16 +90,10 @@ func (g *GapRegressor) Correct(key string, f, yLow float64) float64 {
 	return yLow + g.Predict(key, f)
 }
 
-// Residual returns observed − predicted log-gap for one pair — the
-// model's error, surfaced in traces and metrics.
-func (g *GapRegressor) Residual(key string, f, gapLog float64) float64 {
-	return gapLog - g.Predict(key, f)
-}
-
 // Uncertainty is a heuristic standard deviation of the gap correction
 // at fidelity f: the prior slope scale, shrunk by the pairs the key has
-// already taught. The search adds it to the GP posterior at corrected
-// points so a promotion probe stays worth considering.
+// already taught. It is a diagnostic (bo's GapStd): the search neither
+// inflates the posterior by it nor conditions corrected values at it.
 func (g *GapRegressor) Uncertainty(key string, f float64) float64 {
 	if f >= 1 {
 		return 0

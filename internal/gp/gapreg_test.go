@@ -8,9 +8,9 @@ import (
 // TestGapRegressorPriorBeforeData: with no pairs observed, every key
 // predicts from the prior slope alone.
 func TestGapRegressorPriorBeforeData(t *testing.T) {
-	g := NewGapRegressor(0)
+	g := NewGapRegressor()
 	if g.PriorBeta != DefaultPriorBeta {
-		t.Fatalf("zero prior should default to %v, got %v", DefaultPriorBeta, g.PriorBeta)
+		t.Fatalf("prior slope = %v, want %v", g.PriorBeta, DefaultPriorBeta)
 	}
 	if got, want := g.Beta("p3.2xlarge"), DefaultPriorBeta; got != want {
 		t.Fatalf("cold Beta = %v, want prior %v", got, want)
@@ -31,7 +31,7 @@ func TestGapRegressorPriorBeforeData(t *testing.T) {
 // as data accumulates.
 func TestGapRegressorExactRecovery(t *testing.T) {
 	const trueBeta = 0.12
-	g := NewGapRegressor(0.18)
+	g := NewGapRegressor()
 	for i := 0; i < 400; i++ {
 		f := 0.1 + 0.8*float64(i%9)/8
 		g.Observe("c5.xlarge", f, trueBeta*(1-f))
@@ -54,7 +54,7 @@ func TestGapRegressorExactRecovery(t *testing.T) {
 // toward the observation but not all the way — and an unseen key
 // borrows the global slope learned from other keys.
 func TestGapRegressorShrinkage(t *testing.T) {
-	g := NewGapRegressor(0.18)
+	g := NewGapRegressor()
 	// One pair with implied slope 0.30 at x = 1−0.5 = 0.5.
 	g.Observe("c5.xlarge", 0.5, 0.30*0.5)
 	got := g.Beta("c5.xlarge")
@@ -85,7 +85,7 @@ func (g *GapRegressor) globalBetaForTest() float64 {
 // zero at full fidelity, scales with (1−f), and decays as the key
 // accumulates pairs.
 func TestGapRegressorUncertaintyShrinks(t *testing.T) {
-	g := NewGapRegressor(0.18)
+	g := NewGapRegressor()
 	if got := g.Uncertainty("k", 1); got != 0 {
 		t.Fatalf("Uncertainty at f=1 is %v, want 0", got)
 	}
@@ -105,23 +105,10 @@ func TestGapRegressorUncertaintyShrinks(t *testing.T) {
 	}
 }
 
-// TestGapRegressorResidual: residual = observed − predicted, so a pair
-// exactly on the current line has residual 0.
-func TestGapRegressorResidual(t *testing.T) {
-	g := NewGapRegressor(0.18)
-	onLine := g.Predict("k", 0.3)
-	if got := g.Residual("k", 0.3, onLine); got != 0 {
-		t.Fatalf("on-line residual = %v, want 0", got)
-	}
-	if got := g.Residual("k", 0.3, onLine+0.05); math.Abs(got-0.05) > 1e-15 {
-		t.Fatalf("residual = %v, want 0.05", got)
-	}
-}
-
 // TestGapRegressorIgnoresFullPairs: x = 1−f ≤ 0 carries no slope
 // information and must not poison the statistics.
 func TestGapRegressorIgnoresFullPairs(t *testing.T) {
-	g := NewGapRegressor(0.18)
+	g := NewGapRegressor()
 	g.Observe("k", 1.0, 0.5)
 	g.Observe("k", 1.5, -0.5)
 	if g.Pairs("k") != 0 {

@@ -600,61 +600,48 @@ func (g *GP) LogMarginalLikelihood() float64 {
 	return -0.5*mat.Dot(g.yStd, g.alpha) - 0.5*g.chol.LogDet() - 0.5*n*math.Log(2*math.Pi)
 }
 
-// FitMLEOpts configures hyperparameter fitting.
-type FitMLEOpts struct {
-	Starts   int // multi-start count (default 4)
-	FitNoise bool
-	MaxIter  int // per-start Nelder–Mead iterations (default 120)
-}
+// The hyperparameter fit's one protocol: fitStarts Nelder–Mead starts of
+// at most fitMaxIter iterations each, over the kernel parameters and the
+// log noise within [1e-8, 1e-1].
+const (
+	fitStarts  = 3
+	fitMaxIter = 80
+)
 
-// FitMLE fits the kernel hyperparameters (and optionally the noise) by
-// maximizing the log marginal likelihood with optim.MultiStart. The GP
-// must already have been Fit with data. rng must not be nil.
+// FitMLE fits the kernel hyperparameters and the noise by maximizing the
+// log marginal likelihood with optim.MultiStart. The GP must already
+// have been Fit with data. rng must not be nil.
 //
 // Each of MultiStart's goroutines evaluates the likelihood on a private
 // clone of the GP (cloned kernel, shared read-only data and difference
 // cache), so the chosen hyperparameters, the rng stream, and therefore
 // every downstream decision are bit-identical at any GOMAXPROCS.
-func (g *GP) FitMLE(rng *rand.Rand, opts FitMLEOpts) error {
+func (g *GP) FitMLE(rng *rand.Rand) error {
 	if g.chol == nil {
 		panic(ErrNoData)
 	}
-	if opts.Starts <= 0 {
-		opts.Starts = 4
-	}
-	if opts.MaxIter <= 0 {
-		opts.MaxIter = 120
-	}
 	kb := g.kernel.ParamBounds()
-	x0 := g.kernel.Params()
-	lo := append([]float64(nil), kb.Lo...)
-	hi := append([]float64(nil), kb.Hi...)
-	if opts.FitNoise {
-		x0 = append(x0, g.logNoise)
-		lo = append(lo, math.Log(1e-8))
-		hi = append(hi, math.Log(1e-1))
-	}
+	x0 := append(g.kernel.Params(), g.logNoise)
+	lo := append(append([]float64(nil), kb.Lo...), math.Log(1e-8))
+	hi := append(append([]float64(nil), kb.Hi...), math.Log(1e-1))
 	nk := len(g.kernel.Params())
-	newObjective := func() optim.Objective { return g.cloneForFit().mleObjective(nk, opts.FitNoise) }
-	res := optim.MultiStart(newObjective, x0, optim.Bounds{Lo: lo, Hi: hi}, opts.Starts, rng,
-		optim.NelderMeadOpts{MaxIter: opts.MaxIter})
+	newObjective := func() optim.Objective { return g.cloneForFit().mleObjective(nk) }
+	res := optim.MultiStart(newObjective, x0, optim.Bounds{Lo: lo, Hi: hi}, fitStarts, rng,
+		optim.NelderMeadOpts{MaxIter: fitMaxIter})
 
 	// Install the winner and leave the GP conditioned on it.
 	g.kernel.SetParams(res.X[:nk])
-	if opts.FitNoise {
-		g.logNoise = res.X[nk]
-	}
+	g.logNoise = res.X[nk]
 	return g.refactor()
 }
 
 // mleObjective returns the negative log marginal likelihood as a function
-// of the packed hyperparameter vector, evaluated by mutating g.
-func (g *GP) mleObjective(nk int, fitNoise bool) optim.Objective {
+// of the packed hyperparameter vector (nk kernel parameters, then the log
+// noise), evaluated by mutating g.
+func (g *GP) mleObjective(nk int) optim.Objective {
 	return func(p []float64) float64 {
 		g.kernel.SetParams(p[:nk])
-		if fitNoise {
-			g.logNoise = p[nk]
-		}
+		g.logNoise = p[nk]
 		if err := g.refactor(); err != nil {
 			return math.Inf(1)
 		}

@@ -159,7 +159,7 @@ func TestGPFitMLEImprovesLikelihood(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := g.LogMarginalLikelihood()
-	if err := g.FitMLE(rng, FitMLEOpts{Starts: 3, FitNoise: true}); err != nil {
+	if err := g.FitMLE(rng); err != nil {
 		t.Fatal(err)
 	}
 	after := g.LogMarginalLikelihood()

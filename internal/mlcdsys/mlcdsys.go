@@ -405,14 +405,27 @@ func (p *clusterProfiler) failedProbe(d cloud.Deployment, burned time.Duration, 
 	return profiler.Result{Deployment: d, Failed: true, Duration: burned, Cost: cost}
 }
 
-// Profile launches, warms up, measures, and tears down a probe cluster.
+// Profile implements profiler.Profiler: a full-fidelity ProfileAt.
+func (p *clusterProfiler) Profile(j workload.Job, d cloud.Deployment) profiler.Result {
+	return p.ProfileAt(j, d, 1)
+}
+
+// ProfileAt implements profiler.FidelityProfiler: it launches, warms up,
+// measures, and tears down a probe cluster. A full probe (f ≥ 1) runs
+// the Eq. 7 protocol and takes three measurements; a sub-sampled one
+// cuts the measured run to fidelity f, takes a two-measurement burst,
+// reports its fidelity and counts in mlcd_profile_lowfi_probes_total.
+// The short burst still pays the cluster's setup floor and bills every
+// second the cluster ran — including an OOM crash, which bills the
+// booked run like any other partial run on this path.
+//
 // Every failure mode is charged for exactly what it burned: launch
 // retries charge their backoff time, a boot timeout charges the billed
 // wait, and a mid-run interruption charges the partial run — censored
 // observations the search still debits from its TEI headroom.
-func (p *clusterProfiler) Profile(j workload.Job, d cloud.Deployment) profiler.Result {
+func (p *clusterProfiler) ProfileAt(j workload.Job, d cloud.Deployment, f float64) profiler.Result {
+	f = profiler.Fid(f)
 	m := &p.sys.m
-	dur := profiler.Duration(d.Nodes)
 	cl, waited, err := p.sys.launchWithRetry(p.ctx, d, p.tracer)
 	if err != nil {
 		// Quota refusal or persistent failure: the probe never ran and
@@ -431,71 +444,20 @@ func (p *clusterProfiler) Profile(j workload.Job, d cloud.Deployment) profiler.R
 		}
 		return p.failedProbe(d, burned, cost)
 	}
-	elapsed, err := cloud.RunElapsed(p.sys.provider, cl, dur)
+	elapsed, err := cloud.RunElapsed(p.sys.provider, cl, profiler.DurationAt(d.Nodes, f))
 	if err != nil {
 		// The cluster ran (and billed) for elapsed before the failure —
 		// a spot reclamation bills its partial run — so the charge still
 		// lands on the job and in the profiling ledger.
 		return p.failedProbe(d, waited+elapsed, d.CostFor(elapsed))
 	}
-	key := j.String() + "|" + d.Key()
-	meas := make([]float64, 0, 3)
-	for i := 0; i < 3; i++ {
-		meas = append(meas, p.sys.sim.MeasureThroughput(j, d, p.trials[key]))
-		p.trials[key]++
-	}
-	res := profiler.Result{
-		Deployment: d,
-		Throughput: stats.Mean(meas),
-		Duration:   waited + elapsed,
-		Cost:       d.CostFor(elapsed),
-		Trials:     len(meas),
-	}
-	if res.Throughput > 0 {
-		m.probesOK.Inc()
-	} else {
-		m.probesOOM.Inc()
-	}
-	m.profileHours.Add(res.Duration.Hours())
-	m.profileUSD.Add(res.Cost)
-	m.probeSeconds.Observe(res.Duration.Seconds())
-	return res
-}
-
-// ProfileAt implements profiler.FidelityProfiler on the real cluster
-// pipeline: the identical launch/warm-up/teardown lifecycle, but the
-// measured run is cut to fidelity f of the full protocol. The short
-// burst still pays the cluster's setup floor and bills every second the
-// cluster ran — including an OOM crash, which on real hardware bills
-// the booked burst just like any other partial run on this path.
-func (p *clusterProfiler) ProfileAt(j workload.Job, d cloud.Deployment, f float64) profiler.Result {
-	f = profiler.Fid(f)
-	if f >= 1 {
-		return p.Profile(j, d)
-	}
-	m := &p.sys.m
-	dur := profiler.DurationAt(d.Nodes, f)
-	cl, waited, err := p.sys.launchWithRetry(p.ctx, d, p.tracer)
-	if err != nil {
-		return p.failedProbe(d, waited, 0)
-	}
-	defer p.sys.terminate(p.ctx, cl, p.tracer)
-	if err := p.sys.provider.WaitReady(cl); err != nil {
-		burned, cost := waited, 0.0
-		var wt *cloud.WaitTimeout
-		if errors.As(err, &wt) {
-			burned += wt.Waited
-			cost = d.CostFor(wt.Waited)
-		}
-		return p.failedProbe(d, burned, cost)
-	}
-	elapsed, err := cloud.RunElapsed(p.sys.provider, cl, dur)
-	if err != nil {
-		return p.failedProbe(d, waited+elapsed, d.CostFor(elapsed))
+	iters := 3
+	if f < 1 {
+		iters = 2
 	}
 	key := j.String() + "|" + d.Key()
-	meas := make([]float64, 0, 2)
-	for i := 0; i < 2; i++ {
+	meas := make([]float64, 0, iters)
+	for i := 0; i < iters; i++ {
 		meas = append(meas, p.sys.sim.MeasureThroughputAt(j, d, p.trials[key], f))
 		p.trials[key]++
 	}
@@ -505,14 +467,16 @@ func (p *clusterProfiler) ProfileAt(j workload.Job, d cloud.Deployment, f float6
 		Duration:   waited + elapsed,
 		Cost:       d.CostFor(elapsed),
 		Trials:     len(meas),
-		Fidelity:   f,
 	}
 	if res.Throughput > 0 {
 		m.probesOK.Inc()
 	} else {
 		m.probesOOM.Inc()
 	}
-	m.probesLowFi.Inc()
+	if f < 1 {
+		res.Fidelity = f
+		m.probesLowFi.Inc()
+	}
 	m.profileHours.Add(res.Duration.Hours())
 	m.profileUSD.Add(res.Cost)
 	m.probeSeconds.Observe(res.Duration.Seconds())
@@ -574,15 +538,12 @@ type ctxProfiler struct {
 }
 
 func (p ctxProfiler) Profile(j workload.Job, d cloud.Deployment) profiler.Result {
-	if p.ctx.Err() != nil {
-		return profiler.Result{Deployment: d, Failed: true}
-	}
-	return p.inner.Profile(j, d)
+	return p.ProfileAt(j, d, 1)
 }
 
-// ProfileAt keeps the cancellation guard on sub-sampled probes too,
-// delegating through profiler.ProbeAt so a fidelity-blind inner
-// profiler degrades to a full probe instead of an error.
+// ProfileAt guards every probe, full or sub-sampled, delegating through
+// profiler.ProbeAt so a fidelity-blind inner profiler degrades to a
+// full probe instead of an error.
 func (p ctxProfiler) ProfileAt(j workload.Job, d cloud.Deployment, f float64) profiler.Result {
 	if p.ctx.Err() != nil {
 		return profiler.Result{Deployment: d, Failed: true}

@@ -1,11 +1,13 @@
 package mlcdsys
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
 
 	"mlcd/internal/cloud"
+	"mlcd/internal/profiler"
 	"mlcd/internal/search"
 	"mlcd/internal/workload"
 )
@@ -216,5 +218,41 @@ func TestDeployGivesUpUnderPersistentFailures(t *testing.T) {
 	})
 	if _, err := sys.Deploy(workload.ResNetCIFAR10, Requirements{}); err == nil {
 		t.Fatal("a fully broken control plane must surface an error")
+	}
+}
+
+// TestClusterProfileAt pins clusterProfiler's one probe body. At f ∈
+// {0, 1, 1.5} ProfileAt is the full probe: on a twin system it returns
+// exactly what Profile returns, and counts no low-fidelity probe. At
+// f = 0.5 it runs a two-measurement burst billed at DurationAt, reports
+// its fidelity, and counts once in mlcd_profile_lowfi_probes_total.
+func TestClusterProfileAt(t *testing.T) {
+	twin := func() (*System, *clusterProfiler) {
+		sys := New(Config{Seed: 3, Provider: cloud.NewSimProvider(cloud.DefaultQuota, time.Minute)})
+		return sys, &clusterProfiler{sys: sys, ctx: context.Background(), trials: make(map[string]int)}
+	}
+	j := workload.ResNetCIFAR10
+	d := cloud.NewDeployment(cloud.DefaultCatalog().MustLookup("c5.4xlarge"), 4)
+	for _, f := range []float64{0, 1, 1.5} {
+		_, ref := twin()
+		sys, p := twin()
+		want := ref.Profile(j, d)
+		if got := p.ProfileAt(j, d, f); got != want {
+			t.Errorf("ProfileAt(f=%v) = %+v, want Profile's %+v", f, got, want)
+		}
+		if n := sys.m.probesLowFi.Value(); n != 0 {
+			t.Errorf("ProfileAt(f=%v) counted %v low-fidelity probes, want 0", f, n)
+		}
+	}
+	sys, p := twin()
+	r := p.ProfileAt(j, d, 0.5)
+	if r.Failed || r.Throughput <= 0 || r.Trials != 2 || r.Fidelity != 0.5 {
+		t.Fatalf("burst = %+v, want a 2-trial measurement at fidelity 0.5", r)
+	}
+	if want := profiler.DurationAt(d.Nodes, 0.5); r.Duration != want {
+		t.Fatalf("burst billed %v, want DurationAt %v", r.Duration, want)
+	}
+	if n := sys.m.probesLowFi.Value(); n != 1 {
+		t.Fatalf("burst counted %v low-fidelity probes, want 1", n)
 	}
 }

@@ -28,9 +28,8 @@ type Event struct {
 	CumProfileUSD   float64 `json:"cum_profile_usd,omitempty"`
 
 	// Acquisition bookkeeping: the cost-penalized score that selected
-	// this candidate and the raw expected improvement behind it.
+	// this candidate.
 	Acquisition float64 `json:"acquisition,omitempty"`
-	RawEI       float64 `json:"raw_ei,omitempty"`
 
 	// Remaining constraint headroom after the event (Eqs. 5–6): hours to
 	// the deadline or dollars to the budget, whichever scenario binds.

@@ -78,61 +78,62 @@ func ProbeAt(p Profiler, j workload.Job, d cloud.Deployment, f float64) Result {
 	return p.Profile(j, d)
 }
 
-// lowFidelityIters is the burst's measurement count: two iterations. The
-// burst is too short for the stability-extension protocol — the gap
+// fullFidelityIters is the full protocol's measurement count: three
+// iterations, extended once by as many more when they disagree beyond
+// StabilityCV (§IV). lowFidelityIters is the burst's: two iterations.
+// The burst is too short for the stability-extension protocol — the gap
 // model and the search's promotion discipline own the extra variance.
-const lowFidelityIters = 2
+const (
+	fullFidelityIters = 3
+	lowFidelityIters  = 2
+)
 
 // ProfileAt implements FidelityProfiler on the simulator-backed
-// profiler: a short burst billed at DurationAt, measured through the
-// simulator's biased sub-sampled mode. OOM crashes are fidelity-
-// independent (the job dies during model build) and are billed exactly
-// like a full probe's OOM.
+// profiler. A full probe (f ≥ 1) takes three measurement iterations,
+// extends once with three more if they disagree beyond StabilityCV, and
+// returns the mean. A sub-sampled one takes a two-iteration burst billed
+// at DurationAt, measured through the simulator's biased sub-sampled
+// mode, and reports its fidelity. A deployment the model cannot fit
+// crashes during model build whatever the fidelity, and is billed only
+// for OOMFailDuration.
 func (p *SimProfiler) ProfileAt(j workload.Job, d cloud.Deployment, f float64) Result {
 	f = Fid(f)
-	if f >= 1 {
-		return p.Profile(j, d)
-	}
 	if f < MinFidelity {
 		f = MinFidelity
+	}
+	low := f < 1
+	r := Result{Deployment: d}
+	iters := fullFidelityIters
+	if low {
+		r.Fidelity = f
+		iters = lowFidelityIters
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	key := j.String() + "|" + d.Key()
 	if first := p.sim.MeasureThroughputAt(j, d, p.trials[key], f); first <= 0 {
 		p.trials[key]++
-		return Result{
-			Deployment: d,
-			Throughput: 0,
-			Duration:   OOMFailDuration,
-			Cost:       d.CostFor(OOMFailDuration),
-			Trials:     1,
-			Fidelity:   f,
+		r.Duration = OOMFailDuration
+		r.Cost = d.CostFor(OOMFailDuration)
+		r.Trials = 1
+		return r
+	}
+	meas := make([]float64, 0, 2*iters)
+	measure := func() {
+		for i := 0; i < iters; i++ {
+			meas = append(meas, p.sim.MeasureThroughputAt(j, d, p.trials[key], f))
+			p.trials[key]++
 		}
 	}
-	meas := make([]float64, 0, lowFidelityIters)
-	for i := 0; i < lowFidelityIters; i++ {
-		meas = append(meas, p.sim.MeasureThroughputAt(j, d, p.trials[key], f))
-		p.trials[key]++
+	measure()
+	r.Duration = DurationAt(d.Nodes, f)
+	if !low && stats.Std(meas)/stats.Mean(meas) > p.StabilityCV {
+		r.Extended = true
+		r.Duration += p.Extension
+		measure()
 	}
-	dur := DurationAt(d.Nodes, f)
-	return Result{
-		Deployment: d,
-		Throughput: stats.Mean(meas),
-		Duration:   dur,
-		Cost:       d.CostFor(dur),
-		Trials:     len(meas),
-		Fidelity:   f,
-	}
-}
-
-// ProfileAt implements FidelityProfiler on the meter, accumulating the
-// totals exactly like Profile does.
-func (m *Meter) ProfileAt(j workload.Job, d cloud.Deployment, f float64) Result {
-	r := ProbeAt(m.inner, j, d, f)
-	m.Time += r.Duration
-	m.Spend += r.Cost
-	m.Probes++
-	m.History = append(m.History, r)
+	r.Throughput = stats.Mean(meas)
+	r.Cost = d.CostFor(r.Duration)
+	r.Trials = len(meas)
 	return r
 }

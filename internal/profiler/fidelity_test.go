@@ -137,15 +137,28 @@ func TestProfileAtOOM(t *testing.T) {
 	}
 }
 
-// TestMeterProfileAt: the meter books sub-sampled probes like any
-// other — time, spend, count, history.
-func TestMeterProfileAt(t *testing.T) {
-	d := fidDeployment(t, "c5.xlarge", 4)
+// TestStabilityExtensionOnlyAtFullFidelity pins the one probe body's
+// branch on fidelity: under an impossible stability bar a full probe
+// extends (six trials, Duration+Extension), while a burst never does —
+// it keeps its two trials and its DurationAt bill.
+func TestStabilityExtensionOnlyAtFullFidelity(t *testing.T) {
+	d := fidDeployment(t, "c5.4xlarge", 4)
 	j := workload.ResNetCIFAR10
-	m := NewMeter(NewSimProfiler(sim.New(1)))
-	r := m.ProfileAt(j, d, 0.5)
-	if m.Time != r.Duration || !close(m.Spend, r.Cost, 1e-12) || m.Probes != 1 || len(m.History) != 1 {
-		t.Fatalf("meter did not accumulate the low probe: %+v after %+v", m, r)
+	p := NewSimProfiler(sim.New(7))
+	p.StabilityCV = 1e-9
+	full := p.ProfileAt(j, d, 1)
+	if !full.Extended || full.Trials != 6 || full.Duration != Duration(4)+p.Extension {
+		t.Fatalf("full probe under an impossible bar: %+v, want extended, 6 trials, %v", full, Duration(4)+p.Extension)
+	}
+	if full.Fidelity != 0 {
+		t.Fatalf("full probe reports fidelity %v, want unset", full.Fidelity)
+	}
+	low := p.ProfileAt(j, d, 0.5)
+	if low.Extended || low.Trials != 2 || low.Duration != DurationAt(4, 0.5) {
+		t.Fatalf("burst under an impossible bar: %+v, want unextended, 2 trials, %v", low, DurationAt(4, 0.5))
+	}
+	if low.Fidelity != 0.5 {
+		t.Fatalf("burst reports fidelity %v, want 0.5", low.Fidelity)
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 
 	"mlcd/internal/cloud"
 	"mlcd/internal/sim"
-	"mlcd/internal/stats"
 	"mlcd/internal/workload"
 )
 
@@ -97,69 +96,7 @@ func NewSimProfiler(s *sim.Simulator) *SimProfiler {
 // warm-up completes.
 const OOMFailDuration = 2 * time.Minute
 
-// Profile implements Profiler: it takes three measurement iterations,
-// extends once with three more if they disagree beyond StabilityCV, and
-// returns the mean. A deployment the model cannot fit on crashes early
-// and is billed only for OOMFailDuration.
+// Profile implements Profiler: a full-fidelity ProfileAt.
 func (p *SimProfiler) Profile(j workload.Job, d cloud.Deployment) Result {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	key := j.String() + "|" + d.Key()
-	if first := p.sim.MeasureThroughput(j, d, p.trials[key]); first <= 0 {
-		p.trials[key]++
-		return Result{
-			Deployment: d,
-			Throughput: 0,
-			Duration:   OOMFailDuration,
-			Cost:       d.CostFor(OOMFailDuration),
-			Trials:     1,
-		}
-	}
-	const iters = 3
-	meas := make([]float64, 0, 2*iters)
-	for i := 0; i < iters; i++ {
-		meas = append(meas, p.sim.MeasureThroughput(j, d, p.trials[key]))
-		p.trials[key]++
-	}
-	dur := Duration(d.Nodes)
-	extended := false
-	if cv := stats.Std(meas) / stats.Mean(meas); cv > p.StabilityCV {
-		extended = true
-		dur += p.Extension
-		for i := 0; i < iters; i++ {
-			meas = append(meas, p.sim.MeasureThroughput(j, d, p.trials[key]))
-			p.trials[key]++
-		}
-	}
-	return Result{
-		Deployment: d,
-		Throughput: stats.Mean(meas),
-		Duration:   dur,
-		Cost:       d.CostFor(dur),
-		Trials:     len(meas),
-		Extended:   extended,
-	}
-}
-
-// Meter wraps a Profiler and accumulates total profiling time and spend;
-// the search methods consult it to enforce deadlines and budgets.
-type Meter struct {
-	inner   Profiler
-	Time    time.Duration
-	Spend   float64
-	Probes  int
-	History []Result
-}
-
-// NewMeter wraps p.
-func NewMeter(p Profiler) *Meter { return &Meter{inner: p} }
-
-// Profile implements Profiler, accumulating the totals.
-func (m *Meter) Profile(j workload.Job, d cloud.Deployment) Result {
-	r := m.inner.Profile(j, d)
-	m.Time += r.Duration
-	m.Spend += r.Cost
-	m.Probes++
-	m.History = append(m.History, r)
-	return r
+	return p.ProfileAt(j, d, 1)
 }

@@ -117,30 +117,13 @@ func TestSimProfilerStabilityExtension(t *testing.T) {
 	}
 }
 
-func TestMeterAccumulates(t *testing.T) {
-	m := NewMeter(NewSimProfiler(sim.New(7)))
-	j := workload.CharRNNText
-	r1 := m.Profile(j, dep(t, "c5.xlarge", 1))
-	r2 := m.Profile(j, dep(t, "c5.xlarge", 10))
-	if m.Probes != 2 || len(m.History) != 2 {
-		t.Fatalf("probes = %d", m.Probes)
-	}
-	if m.Time != r1.Duration+r2.Duration {
-		t.Fatalf("time = %v", m.Time)
-	}
-	if math.Abs(m.Spend-(r1.Cost+r2.Cost)) > 1e-12 {
-		t.Fatalf("spend = %v", m.Spend)
-	}
-}
-
 func TestProfileInfeasibleDeploymentStillCosts(t *testing.T) {
 	// OOM probes waste money — the punchline of heterogeneous cost.
-	m := NewMeter(NewSimProfiler(sim.New(7)))
-	r := m.Profile(workload.BERTTF, dep(t, "c5.large", 2))
+	r := NewSimProfiler(sim.New(7)).Profile(workload.BERTTF, dep(t, "c5.large", 2))
 	if r.Throughput != 0 {
 		t.Fatalf("throughput = %v, want 0 (OOM)", r.Throughput)
 	}
-	if r.Cost <= 0 || m.Spend <= 0 {
+	if r.Cost <= 0 || r.Duration <= 0 {
 		t.Fatal("failed probes must still be billed")
 	}
 }

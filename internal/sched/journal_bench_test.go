@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"bufio"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -17,14 +16,14 @@ import (
 // and the pair proves that in the fault-free production configuration
 // (faultfs.OS, a zero-cost passthrough) the indirection costs at most
 // 2% over a hand-written append loop. Both run the identical record,
-// write, flush, fsync cycle under a mutex — the only difference is the
+// write, fsync cycle under a mutex — the only difference is the
 // interface hop.
 
 // benchJournalDir puts the journal on tmpfs when the host has one:
 // on rotating or virtualised storage a single fsync costs ~100µs with
 // tens of percent of run-to-run jitter, which would drown the
 // nanosecond-scale interface hop the pair gate measures. On tmpfs the
-// fsync is near-free and stable, so the write/flush/indirection path —
+// fsync is near-free and stable, so the write/indirection path —
 // the part the refactor actually touched — dominates the timing.
 func benchJournalDir(b *testing.B) string {
 	if info, err := os.Stat("/dev/shm"); err == nil && info.IsDir() {
@@ -47,9 +46,9 @@ func benchJournalRecord() journalRecord {
 	}
 }
 
-// BenchmarkJournalAppendDirect is the pre-faultfs append path: a raw
-// *os.File behind a bufio.Writer, no filesystem interface in between.
-// It exists only as the baseline for BenchmarkJournalAppend.
+// BenchmarkJournalAppendDirect is the pre-faultfs append path: one Write
+// straight to a raw *os.File, no filesystem interface in between. It
+// exists only as the baseline for BenchmarkJournalAppend.
 func BenchmarkJournalAppendDirect(b *testing.B) {
 	path := filepath.Join(benchJournalDir(b), "journal.jnl")
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -57,7 +56,6 @@ func BenchmarkJournalAppendDirect(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer func() { _ = f.Close() }()
-	w := bufio.NewWriter(f)
 	var mu sync.Mutex
 	rec := benchJournalRecord()
 	b.ReportAllocs()
@@ -70,11 +68,7 @@ func BenchmarkJournalAppendDirect(b *testing.B) {
 			b.Fatal(err)
 		}
 		buf = append(buf, '\n')
-		if _, err := w.Write(buf); err != nil {
-			mu.Unlock()
-			b.Fatal(err)
-		}
-		if err := w.Flush(); err != nil {
+		if _, err := f.Write(buf); err != nil {
 			mu.Unlock()
 			b.Fatal(err)
 		}
@@ -87,8 +81,8 @@ func BenchmarkJournalAppendDirect(b *testing.B) {
 }
 
 // BenchmarkJournalAppend is the same workload through the production
-// journal: OpenSegmented over faultfs.OS, so every Write, Flush, and
-// Sync crosses the injectable-filesystem interface. MaxRecords exceeds
+// journal: OpenSegmented over faultfs.OS, so every Write and Sync
+// crosses the injectable-filesystem interface. MaxRecords exceeds
 // b.N, so no segment rotation lands inside the timed cycle.
 func BenchmarkJournalAppend(b *testing.B) {
 	j, err := OpenSegmented(SegmentedConfig{Dir: benchJournalDir(b), MaxRecords: b.N + 1, FS: faultfs.OS{}})

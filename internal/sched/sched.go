@@ -131,13 +131,15 @@ type Config struct {
 	// FS is the storage under the journal (nil → the real filesystem).
 	// Tests inject storage faults and simulated crashes through it.
 	FS faultfs.FS
-	// FleetPrior enables the fleet meta-prior: the scheduler learns
-	// cross-job transfer curves from its profile cache (seeded by journal
-	// replay) and arms every search's surrogate with them. Inside the
-	// shard plane the merge loop replaces the local prior with the
-	// fleet-wide one via SetFleetPrior. Off by default: with it off (or
-	// with nothing learned yet) every search is bit-identical to a
-	// scheduler without the feature.
+	// FleetPrior makes this scheduler learn its own fleet meta-prior:
+	// cross-job transfer curves rebuilt from its profile cache (seeded by
+	// journal replay) after recovery and after every search that ends
+	// done or failed. Only a lone scheduler sets it. A shard never
+	// rebuilds its own prior: the shard plane runs its shards with this
+	// off and publishes the prior its merge derives from every shard's
+	// cache through SetFleetPrior. Off by default: with no prior learned
+	// or installed every search is bit-identical to a scheduler without
+	// the feature.
 	FleetPrior bool
 }
 
@@ -194,9 +196,10 @@ type Scheduler struct {
 	// s.mu. The shard plane reads it to detect a dying disk.
 	journalErrStreak atomic.Int64
 
-	// fleetOn gates the meta-prior; fleet holds the current prior (nil
-	// until something is learned). Atomic so the plane's merge loop can
-	// publish a fleet-wide prior while workers arm searches with it.
+	// fleetOn gates this scheduler's own prior rebuilds; fleet holds the
+	// current prior (nil until one is learned or installed). Atomic so
+	// the plane's merge loop can publish a fleet-wide prior while
+	// workers arm searches with it.
 	fleetOn bool
 	fleet   atomic.Pointer[fleetprior.Prior]
 
@@ -327,11 +330,11 @@ func New(sys *mlcdsys.System, cfg Config) (*Scheduler, error) {
 // journal configured it replays it, opens it for appending, folds the
 // replay in (journaled probes prime the cache; unfinished jobs are
 // enqueued ahead of any new submission; jobs whose menu entry vanished
-// are journaled failed), and rebuilds the fleet prior from the primed
-// cache. No worker runs until Start, so a caller assembling several
-// schedulers — the shard plane — can publish shared state before any
-// recovered search begins, or Close them all with every recovered job
-// still owed in its journal.
+// are journaled failed), and, with Config.FleetPrior set, rebuilds the
+// fleet prior from the primed cache. No worker runs until Start, so a
+// caller assembling several schedulers — the shard plane — can publish
+// shared state before any recovered search begins, or Close them all
+// with every recovered job still owed in its journal.
 func Recover(sys *mlcdsys.System, cfg Config) (*Scheduler, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
@@ -498,21 +501,15 @@ func (s *Scheduler) Cache() *ProfileCache { return s.cache }
 func (s *Scheduler) Traces() *obs.Recorder { return s.traces }
 
 // FleetPrior returns the meta-prior searches are currently armed with
-// (nil when the feature is off or nothing has been learned yet).
+// (nil until one is learned or installed).
 func (s *Scheduler) FleetPrior() *fleetprior.Prior {
-	if !s.fleetOn {
-		return nil
-	}
 	return s.fleet.Load()
 }
 
 // SetFleetPrior installs a prior built elsewhere — the shard plane's
 // merge loop publishes the fleet-wide prior to every shard through it.
-// A no-op when the feature is off; installing nil disarms.
+// Installing nil disarms.
 func (s *Scheduler) SetFleetPrior(p *fleetprior.Prior) {
-	if !s.fleetOn {
-		return
-	}
 	s.fleet.Store(p)
 	s.m.fleetPriorKeys.Set(float64(p.KeyCount()))
 }
@@ -520,8 +517,8 @@ func (s *Scheduler) SetFleetPrior(p *fleetprior.Prior) {
 // RebuildFleetPrior relearns the meta-prior from this scheduler's own
 // profile cache (full-fidelity successes only) and installs it. Called
 // at startup after journal replay and after each search that ends done
-// or failed; the shard plane's merge loop overwrites the result with
-// the fleet-wide prior. A no-op when the feature is off.
+// or failed. A no-op unless Config.FleetPrior is set, so a shard never
+// replaces the prior its plane published.
 func (s *Scheduler) RebuildFleetPrior() {
 	if !s.fleetOn {
 		return
@@ -868,8 +865,8 @@ func (s *Scheduler) runJob(rec *job) {
 	}
 	// The search's paid probes are in the cache now, whether it picked a
 	// deployment or declined; fold them into the prior so the next
-	// tenant starts warmer. Inside the shard plane the next merge
-	// replaces this with the fleet-wide prior.
+	// tenant starts warmer. A shard skips this: its plane's next merge
+	// publishes the probes fleet-wide.
 	if rec.status == StatusDone || rec.status == StatusFailed {
 		s.RebuildFleetPrior()
 	}

@@ -89,7 +89,6 @@ type SegmentedJournal struct {
 	mu     sync.Mutex
 	seq    int // active segment sequence number
 	f      faultfs.File
-	w      *bufio.Writer
 	n      int   // records appended to the active segment
 	off    int64 // bytes of complete, newline-terminated records in the active segment
 	closed bool
@@ -249,7 +248,7 @@ func OpenSegmented(cfg SegmentedConfig) (*SegmentedJournal, error) {
 	}
 	path := segPath(cfg.Dir, seq)
 	// Only the last segment can be torn (it was the active one when the
-	// crash hit); sealed segments were rotated away from after a flush.
+	// crash hit); sealed segments were rotated away from after an fsync.
 	if err := repairTornTail(fsys, path); err != nil {
 		return nil, fmt.Errorf("sched: repairing segment tail: %w", err)
 	}
@@ -272,7 +271,6 @@ func OpenSegmented(cfg SegmentedConfig) (*SegmentedJournal, error) {
 		fs:  fsys,
 		seq: seq,
 		f:   f,
-		w:   bufio.NewWriter(f),
 		n:   n,
 		off: info.Size(), // record-aligned: the tail was just repaired
 	}
@@ -311,14 +309,15 @@ func countRecords(fsys faultfs.FS, path string) (int, error) {
 // included, exceeds maxRecordLine is refused before anything is
 // written: replay could not read it back.
 //
+// Each append issues exactly one Write of the whole line, then one Sync.
 // A failed write is rolled back: the active segment is truncated to the
-// last record boundary and the buffered writer replaced, so a short or
-// refused write never leaves torn bytes mid-file for the next append to
-// concatenate onto (which would read as corruption on replay). A failed
-// fsync needs no rollback — the record is complete and newline-aligned,
-// merely not durable — but the operation is still refused. If the
-// rollback truncate itself fails the journal wedges fail-stop: further
-// appends are refused until a reopen repairs the file.
+// last record boundary, so a short or refused write never leaves torn
+// bytes mid-file for the next append to concatenate onto (which would
+// read as corruption on replay). A failed fsync needs no rollback — the
+// record is complete and newline-aligned, merely not durable — but the
+// operation is still refused. If the rollback truncate itself fails the
+// journal wedges fail-stop: further appends are refused until a reopen
+// repairs the file.
 func (j *SegmentedJournal) append(rec journalRecord) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -336,13 +335,9 @@ func (j *SegmentedJournal) append(rec journalRecord) error {
 	if len(b) > maxRecordLine {
 		return fmt.Errorf("%w: %d bytes, replay reads at most %d", errRecordTooLong, len(b), maxRecordLine)
 	}
-	if _, err := j.w.Write(b); err != nil {
+	if _, err := j.f.Write(b); err != nil {
 		j.rollbackLocked()
 		return fmt.Errorf("sched: appending journal record: %w", err)
-	}
-	if err := j.w.Flush(); err != nil {
-		j.rollbackLocked()
-		return fmt.Errorf("sched: flushing journal: %w", err)
 	}
 	j.off += int64(len(b))
 	if err := j.f.Sync(); err != nil {
@@ -358,12 +353,8 @@ func (j *SegmentedJournal) append(rec journalRecord) error {
 }
 
 // rollbackLocked restores the active segment to its last record
-// boundary after a failed write and discards the poisoned buffered
-// writer (bufio retains both its error and the unwritten remainder,
-// which would otherwise wedge or corrupt every later append). Callers
-// hold j.mu.
+// boundary after a failed write. Callers hold j.mu.
 func (j *SegmentedJournal) rollbackLocked() {
-	j.w = bufio.NewWriter(j.f)
 	if err := j.f.Truncate(j.off); err != nil {
 		// Torn bytes may remain mid-file; appending after them would be
 		// corruption, so refuse everything until a reopen repairs.
@@ -377,9 +368,6 @@ func (j *SegmentedJournal) rollbackLocked() {
 // valid segment — the next append simply retries the rotation. Callers
 // hold j.mu.
 func (j *SegmentedJournal) rotateLocked() error {
-	if err := j.w.Flush(); err != nil {
-		return err
-	}
 	if err := j.f.Sync(); err != nil {
 		return err
 	}
@@ -387,10 +375,9 @@ func (j *SegmentedJournal) rotateLocked() error {
 	if err != nil {
 		return fmt.Errorf("sched: rotating to segment %d: %w", j.seq+1, err)
 	}
-	_ = j.f.Close() // sealed: already flushed and fsynced above
+	_ = j.f.Close() // sealed: already fsynced above
 	j.seq++
 	j.f = f
-	j.w = bufio.NewWriter(f)
 	j.n = 0
 	j.off = 0
 	if j.cfg.OnRotate != nil {
@@ -519,8 +506,8 @@ func (j *SegmentedJournal) compactLoop() {
 	}
 }
 
-// Close stops the compaction loop, flushes, and closes the active
-// segment. Idempotent.
+// Close stops the compaction loop and closes the active segment.
+// Idempotent.
 func (j *SegmentedJournal) Close() error {
 	j.mu.Lock()
 	if j.closed {
@@ -529,10 +516,7 @@ func (j *SegmentedJournal) Close() error {
 	}
 	j.closed = true
 	stop, done := j.stop, j.done
-	err := j.w.Flush()
-	if cerr := j.f.Close(); err == nil {
-		err = cerr
-	}
+	err := j.f.Close()
 	j.mu.Unlock()
 	if stop != nil {
 		close(stop)

@@ -57,7 +57,9 @@ type Config struct {
 	// aggregates the union of all shards' full-fidelity measurements into
 	// cross-job transfer curves and publishes them fleet-wide, so a new
 	// tenant on any shard starts from what every other tenant has paid to
-	// learn. Off by default.
+	// learn. The merge is the prior's only publisher: shards run with
+	// sched.Config.FleetPrior off and never rebuild their own. Off by
+	// default.
 	FleetPrior bool
 }
 
@@ -173,7 +175,6 @@ func New(sys *mlcdsys.System, cfg Config) (*Plane, error) {
 			ShardLabel:         strconv.Itoa(i),
 			CompactEvery:       cfg.CompactEvery,
 			FS:                 cfg.FS,
-			FleetPrior:         cfg.FleetPrior,
 		}
 		if cfg.JournalDir != "" {
 			sc.JournalDir = filepath.Join(cfg.JournalDir, fmt.Sprintf("shard-%d", i))

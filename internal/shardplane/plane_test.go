@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mlcd/internal/cloud"
+	"mlcd/internal/fleetprior"
 	"mlcd/internal/mlcdsys"
 	"mlcd/internal/profiler"
 	"mlcd/internal/sched"
@@ -264,5 +265,51 @@ func TestCrossShardWarmStartSurvivesReshard(t *testing.T) {
 	if st := b.Stats(); st.SnapshotEntries < len(paidFor) {
 		t.Errorf("snapshot holds %d entries, want at least the %d journaled measurements",
 			st.SnapshotEntries, len(paidFor))
+	}
+}
+
+// TestMergedFleetPriorSurvivesShardJobs: in a plane the merge is the
+// fleet prior's only publisher. A job that finishes on one shard must
+// leave the merged, fleet-wide prior in place — on that shard and in
+// Plane.FleetPrior, which GET /v1/fleet serves — rather than replace it
+// with a prior rebuilt from that shard's own cache until the next merge.
+func TestMergedFleetPriorSurvivesShardJobs(t *testing.T) {
+	p, err := New(newTestSystem(t), Config{Shards: 2, Workers: 1, MergeEvery: -1, FleetPrior: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	t0 := tenantOnShard(t, p.Ring(), 0)
+	t1 := tenantOnShard(t, p.Ring(), 1)
+	for _, sub := range []struct{ job, tenant string }{
+		{"resnet-cifar10", t0},
+		{"charrnn-text", t1},
+	} {
+		j, err := p.Submit(sub.job, sub.tenant, mlcdsys.Requirements{Budget: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		awaitStatus(t, p, j.ID, sched.StatusDone)
+	}
+	p.MergeNow()
+	merged := p.FleetPrior()
+	if st := merged.Stats(); st.Families != 2 || st.Keys != 2 {
+		t.Fatalf("merged prior = %+v, want both shards' families (2) and keys (2)", st)
+	}
+
+	j, err := p.Submit("alexnet-cifar10", t0, mlcdsys.Requirements{Budget: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitStatus(t, p, j.ID, sched.StatusDone)
+	for name, got := range map[string]*fleetprior.Prior{
+		"plane":   p.FleetPrior(),
+		"shard 0": p.Shard(0).FleetPrior(),
+		"shard 1": p.Shard(1).FleetPrior(),
+	} {
+		if got != merged {
+			t.Errorf("%s prior = %+v after a shard-0 job, want the merged %+v", name, got.Stats(), merged.Stats())
+		}
 	}
 }
