@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"time"
 
+	"mlcd/internal/chaos"
 	"mlcd/internal/cloud"
 	"mlcd/internal/cloudapi"
 )
@@ -28,9 +29,15 @@ func main() {
 	)
 	flag.Parse()
 
-	provider := cloud.NewSimProvider(cloud.Quota{MaxCPUNodes: *cpuQuota, MaxGPUNodes: *gpuQuota}, *boot)
+	var provider cloud.Provider = cloud.NewSimProvider(cloud.Quota{MaxCPUNodes: *cpuQuota, MaxGPUNodes: *gpuQuota}, *boot)
 	if *failRate > 0 {
-		provider.InjectFailures(*failRate, *failSeed)
+		// One chaos launch_error fault: a seeded draw per Launch, and a
+		// refused launch burns the fault's default 30s of control-plane
+		// time.
+		provider = chaos.Wrap(provider, chaos.Plan{
+			Name:   "fail-rate",
+			Faults: []chaos.Fault{{Kind: chaos.KindLaunchError, Rate: *failRate}},
+		}, *failSeed, nil)
 	}
 	handler := cloudapi.NewServer(provider, cloud.DefaultCatalog())
 	fmt.Printf("cloudd: simulated control plane on %s (boot %v, quota %d CPU / %d GPU nodes)\n",

@@ -307,9 +307,6 @@ func Wrap(inner cloud.Provider, plan Plan, seed int64, reg *obs.Registry) *Provi
 	return p
 }
 
-// Plan returns the armed plan.
-func (p *Provider) Plan() Plan { return p.plan }
-
 // Injected returns how many faults of kind have fired so far.
 func (p *Provider) Injected(kind Kind) int {
 	p.mu.Lock()
@@ -400,34 +397,24 @@ func (p *Provider) WaitReady(c *cloud.Cluster) error {
 	return p.inner.WaitReady(c)
 }
 
-// RunFor implements cloud.ElapsedRunner: the resilient execution layer
-// learns from the elapsed value exactly what a fault burned.
-func (p *Provider) RunFor(c *cloud.Cluster, dur time.Duration) (time.Duration, error) {
+// Run implements cloud.Provider. The elapsed value tells the resilient
+// execution layer exactly what a fault burned: a spot interruption
+// reports the partial run, a straggler the stretched one.
+func (p *Provider) Run(c *cloud.Cluster, dur time.Duration) (time.Duration, error) {
 	p.mu.Lock()
 	if f := p.pick(KindSpotInterrupt, dur); f != nil {
 		ran := time.Duration(float64(dur) * f.atFraction())
 		p.mu.Unlock()
-		if err := p.inner.Run(c, ran); err != nil {
+		if _, err := p.inner.Run(c, ran); err != nil {
 			return 0, err
 		}
 		return ran, &cloud.SpotInterruption{Ran: ran}
 	}
 	if f := p.pick(KindStraggler, dur); f != nil {
-		stretched := time.Duration(float64(dur) * f.slowdown())
-		p.mu.Unlock()
-		if err := p.inner.Run(c, stretched); err != nil {
-			return 0, err
-		}
-		return stretched, nil
+		dur = time.Duration(float64(dur) * f.slowdown())
 	}
 	p.mu.Unlock()
-	return cloud.RunElapsed(p.inner, c, dur)
-}
-
-// Run implements cloud.Provider.
-func (p *Provider) Run(c *cloud.Cluster, dur time.Duration) error {
-	_, err := p.RunFor(c, dur)
-	return err
+	return p.inner.Run(c, dur)
 }
 
 // Terminate implements cloud.Provider. A refused Terminate leaves the
@@ -461,6 +448,5 @@ func (p *Provider) Advance(d time.Duration) { p.advance(d) }
 
 var (
 	_ cloud.Provider      = (*Provider)(nil)
-	_ cloud.ElapsedRunner = (*Provider)(nil)
 	_ cloud.ClockAdvancer = (*Provider)(nil)
 )

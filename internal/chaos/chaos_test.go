@@ -107,6 +107,10 @@ func TestLaunchErrorBurnsDelayAndCountsOut(t *testing.T) {
 			t.Fatalf("launch %d burned %s, want 45s", i, burned)
 		}
 	}
+	// A refused launch books no quota.
+	if cpu, gpu := inner.InUse(); cpu != 0 || gpu != 0 {
+		t.Fatalf("InUse = (%d, %d) after two refusals, want (0, 0)", cpu, gpu)
+	}
 	// Count exhausted: the third launch must go through.
 	cl, err := p.Launch(d)
 	if err != nil {
@@ -173,12 +177,12 @@ func TestSpotInterruptionBillsPartialRun(t *testing.T) {
 	}
 
 	// A short run is under min_run_minutes and must pass untouched.
-	if elapsed, err := p.RunFor(cl, 10*time.Minute); err != nil || elapsed != 10*time.Minute {
+	if elapsed, err := p.Run(cl, 10*time.Minute); err != nil || elapsed != 10*time.Minute {
 		t.Fatalf("short run: elapsed %s, err %v; want 10m, nil", elapsed, err)
 	}
 
 	// The long run is reclaimed at 60%.
-	elapsed, err := p.RunFor(cl, time.Hour)
+	elapsed, err := p.Run(cl, time.Hour)
 	var spot *cloud.SpotInterruption
 	if !errors.As(err, &spot) {
 		t.Fatalf("long run err = %v, want *cloud.SpotInterruption", err)
@@ -195,7 +199,7 @@ func TestSpotInterruptionBillsPartialRun(t *testing.T) {
 		t.Fatalf("billed %v, want %v (partial run)", billed, wantBill)
 	}
 	// Fault count exhausted: the retry runs to completion.
-	if elapsed, err := p.RunFor(cl, time.Hour); err != nil || elapsed != time.Hour {
+	if elapsed, err := p.Run(cl, time.Hour); err != nil || elapsed != time.Hour {
 		t.Fatalf("resumed run: elapsed %s, err %v; want 1h, nil", elapsed, err)
 	}
 }
@@ -213,9 +217,9 @@ func TestStragglerStretchesRun(t *testing.T) {
 	if err := p.WaitReady(cl); err != nil {
 		t.Fatalf("WaitReady: %v", err)
 	}
-	elapsed, err := p.RunFor(cl, 20*time.Minute)
+	elapsed, err := p.Run(cl, 20*time.Minute)
 	if err != nil {
-		t.Fatalf("RunFor: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if elapsed != 30*time.Minute {
 		t.Fatalf("straggled run elapsed %s, want 30m", elapsed)
@@ -314,7 +318,7 @@ func script(seed int64) (string, []int) {
 		}
 		log.WriteString("L.")
 		_ = p.WaitReady(cl)
-		if _, err := p.RunFor(cl, 30*time.Minute); err != nil {
+		if _, err := p.Run(cl, 30*time.Minute); err != nil {
 			log.WriteString("R!")
 		} else {
 			log.WriteString("R.")

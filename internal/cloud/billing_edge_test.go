@@ -101,7 +101,7 @@ func TestTerminateBeforeReady(t *testing.T) {
 	if err := p.WaitReady(c); !errors.Is(err, ErrClusterNotActive) {
 		t.Fatalf("WaitReady on terminated cluster = %v, want ErrClusterNotActive", err)
 	}
-	if err := p.Run(c, time.Minute); !errors.Is(err, ErrClusterNotActive) {
+	if _, err := p.Run(c, time.Minute); !errors.Is(err, ErrClusterNotActive) {
 		t.Fatalf("Run on terminated cluster = %v, want ErrClusterNotActive", err)
 	}
 	// The freed quota must admit a fresh full-width launch.

@@ -3,7 +3,6 @@ package cloud
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 )
@@ -61,8 +60,11 @@ type Provider interface {
 	Launch(d Deployment) (*Cluster, error)
 	// WaitReady advances the virtual clock until the cluster is Running.
 	WaitReady(c *Cluster) error
-	// Run advances the virtual clock by dur with the cluster billed.
-	Run(c *Cluster, dur time.Duration) error
+	// Run advances the virtual clock by dur with the cluster billed and
+	// returns the virtual time the run actually consumed: more than dur
+	// when nodes straggle, less when a typed SpotInterruption cuts it
+	// short. Callers that meter cluster time charge exactly this.
+	Run(c *Cluster, dur time.Duration) (time.Duration, error)
 	// Terminate stops billing for the cluster.
 	Terminate(c *Cluster) error
 	// Now returns the current virtual time.
@@ -76,7 +78,7 @@ var (
 	ErrQuotaExceeded    = errors.New("cloud: instance quota exceeded")
 	ErrClusterNotActive = errors.New("cloud: cluster is not active")
 	// ErrTransient is a retryable control-plane failure (capacity blips,
-	// API throttling); injected by SimProvider when configured.
+	// API throttling); internal/chaos injects it.
 	ErrTransient = errors.New("cloud: transient control-plane failure")
 	// ErrSpotInterrupted is returned by Run when the cloud reclaims a
 	// spot/preemptible cluster mid-run. The cluster keeps billing until
@@ -129,35 +131,6 @@ type ClockAdvancer interface {
 	Advance(d time.Duration)
 }
 
-// ElapsedRunner is an optional Provider refinement: RunFor behaves like
-// Run but additionally reports the virtual time actually consumed, which
-// can exceed dur (straggling nodes) or fall short of it (a mid-run spot
-// interruption). Callers that meter cluster time should prefer it via
-// RunElapsed so faults are charged for exactly what they burned.
-type ElapsedRunner interface {
-	RunFor(c *Cluster, dur time.Duration) (time.Duration, error)
-}
-
-// RunElapsed runs the cluster for dur through p, reporting the virtual
-// time actually consumed. It uses ElapsedRunner when p implements it;
-// otherwise it falls back to Run, inferring partial time from a typed
-// SpotInterruption and assuming exact time on success — which is what
-// every virtual-clock provider in this repository guarantees.
-func RunElapsed(p Provider, c *Cluster, dur time.Duration) (time.Duration, error) {
-	if er, ok := p.(ElapsedRunner); ok {
-		return er.RunFor(c, dur)
-	}
-	err := p.Run(c, dur)
-	if err == nil {
-		return dur, nil
-	}
-	var spot *SpotInterruption
-	if errors.As(err, &spot) {
-		return spot.Ran, err
-	}
-	return 0, err
-}
-
 // Quota bounds concurrently running nodes, mirroring EC2 account limits.
 type Quota struct {
 	MaxCPUNodes int
@@ -180,10 +153,6 @@ type SimProvider struct {
 	gpuInUse   int
 	clusters   map[string]*Cluster
 	doneBilled float64
-
-	failRate float64
-	failRng  *rand.Rand
-	failures int
 }
 
 // NewSimProvider returns a provider with the given quota and per-cluster
@@ -205,32 +174,10 @@ func NewSimProvider(q Quota, bootLatency time.Duration) *SimProvider {
 	}
 }
 
-// InjectFailures makes a fraction rate of future Launch calls fail with
-// ErrTransient, deterministically from seed. Rate 0 disables injection.
-func (p *SimProvider) InjectFailures(rate float64, seed int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.failRate = rate
-	p.failRng = rand.New(rand.NewSource(seed))
-}
-
-// Failures returns how many transient failures have been injected.
-func (p *SimProvider) Failures() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.failures
-}
-
 // Launch implements Provider.
 func (p *SimProvider) Launch(d Deployment) (*Cluster, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.failRate > 0 && p.failRng.Float64() < p.failRate {
-		p.failures++
-		// A failed launch still wastes control-plane time.
-		p.now += 30 * time.Second
-		return nil, fmt.Errorf("%w: launching %s", ErrTransient, d)
-	}
 	if d.Type.IsGPU() {
 		if p.gpuInUse+d.Nodes > p.quota.MaxGPUNodes {
 			return nil, fmt.Errorf("%w: %d GPU nodes in use, requested %d, limit %d",
@@ -272,8 +219,9 @@ func (p *SimProvider) WaitReady(c *Cluster) error {
 	return nil
 }
 
-// Run implements Provider.
-func (p *SimProvider) Run(c *Cluster, dur time.Duration) error {
+// Run implements Provider. The simulated control plane is exact: a
+// successful run consumes precisely dur.
+func (p *SimProvider) Run(c *Cluster, dur time.Duration) (time.Duration, error) {
 	if dur < 0 {
 		panic("cloud: negative run duration")
 	}
@@ -281,10 +229,10 @@ func (p *SimProvider) Run(c *Cluster, dur time.Duration) error {
 	defer p.mu.Unlock()
 	cl, ok := p.clusters[c.ID]
 	if !ok || cl.State != ClusterRunning {
-		return ErrClusterNotActive
+		return 0, ErrClusterNotActive
 	}
 	p.now += dur
-	return nil
+	return dur, nil
 }
 
 // Terminate implements Provider.
@@ -321,15 +269,6 @@ func (p *SimProvider) Advance(d time.Duration) {
 	p.mu.Lock()
 	p.now += d
 	p.mu.Unlock()
-}
-
-// RunFor implements ElapsedRunner. The simulated control plane is exact:
-// a successful run consumes precisely dur.
-func (p *SimProvider) RunFor(c *Cluster, dur time.Duration) (time.Duration, error) {
-	if err := p.Run(c, dur); err != nil {
-		return 0, err
-	}
-	return dur, nil
 }
 
 // Now implements Provider.

@@ -31,8 +31,8 @@ func TestProviderLifecycle(t *testing.T) {
 	if p.Now() != 2*time.Minute {
 		t.Fatalf("boot must advance virtual clock: now = %v", p.Now())
 	}
-	if err := p.Run(c, time.Hour); err != nil {
-		t.Fatal(err)
+	if elapsed, err := p.Run(c, time.Hour); err != nil || elapsed != time.Hour {
+		t.Fatalf("Run consumed %v (err %v), want exactly 1h", elapsed, err)
 	}
 	if err := p.Terminate(c); err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func TestProviderRunRequiresRunning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Run(c, time.Hour); !errors.Is(err, ErrClusterNotActive) {
+	if _, err := p.Run(c, time.Hour); !errors.Is(err, ErrClusterNotActive) {
 		t.Fatalf("Run before ready: err = %v", err)
 	}
 	if err := p.WaitReady(c); err != nil {
@@ -96,7 +96,7 @@ func TestProviderRunRequiresRunning(t *testing.T) {
 	if err := p.Terminate(c); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Run(c, time.Hour); !errors.Is(err, ErrClusterNotActive) {
+	if _, err := p.Run(c, time.Hour); !errors.Is(err, ErrClusterNotActive) {
 		t.Fatalf("Run after terminate: err = %v", err)
 	}
 }
@@ -117,7 +117,7 @@ func TestProviderBillingWhileRunning(t *testing.T) {
 	p := NewSimProvider(DefaultQuota, 0)
 	c, _ := p.Launch(testDeployment(t, "c5.xlarge", 2))
 	_ = p.WaitReady(c)
-	_ = p.Run(c, 30*time.Minute)
+	_, _ = p.Run(c, 30*time.Minute)
 	want := 2 * 0.17 * 0.5
 	if got := p.TotalBilled(); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("running bill = %v, want %v", got, want)
@@ -133,7 +133,7 @@ func TestProviderRunNegativePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	_ = p.Run(c, -time.Second)
+	_, _ = p.Run(c, -time.Second)
 }
 
 func TestClusterStateString(t *testing.T) {
@@ -150,40 +150,5 @@ func TestNewSimProviderDefaults(t *testing.T) {
 	p := NewSimProvider(Quota{}, -time.Second)
 	if _, err := p.Launch(testDeployment(t, "c5.large", DefaultQuota.MaxCPUNodes)); err != nil {
 		t.Fatalf("defaulted quota must admit %d CPU nodes: %v", DefaultQuota.MaxCPUNodes, err)
-	}
-}
-
-func TestInjectFailures(t *testing.T) {
-	p := NewSimProvider(DefaultQuota, 0)
-	p.InjectFailures(1.0, 1)
-	if _, err := p.Launch(testDeployment(t, "c5.large", 1)); !errors.Is(err, ErrTransient) {
-		t.Fatalf("err = %v, want transient", err)
-	}
-	if p.Failures() != 1 {
-		t.Fatalf("failures = %d", p.Failures())
-	}
-	// Failure injection must not consume quota.
-	p.InjectFailures(0, 1)
-	if _, err := p.Launch(testDeployment(t, "c5.large", DefaultQuota.MaxCPUNodes)); err != nil {
-		t.Fatalf("quota was leaked by failed launches: %v", err)
-	}
-}
-
-func TestInjectFailuresDeterministic(t *testing.T) {
-	run := func() []bool {
-		p := NewSimProvider(DefaultQuota, 0)
-		p.InjectFailures(0.5, 7)
-		var outcomes []bool
-		for i := 0; i < 10; i++ {
-			_, err := p.Launch(testDeployment(t, "c5.large", 1))
-			outcomes = append(outcomes, err == nil)
-		}
-		return outcomes
-	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("failure injection must be deterministic per seed")
-		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sync"
 	"time"
 
 	"mlcd/internal/cloud"
@@ -17,9 +16,6 @@ type Client struct {
 	base    string
 	catalog *cloud.Catalog
 	http    *http.Client
-
-	mu     sync.Mutex
-	remote map[string]string // local cluster ID → remote ID (identical here, kept for clarity)
 }
 
 // NewClient points a provider client at a server base URL (no trailing
@@ -29,7 +25,6 @@ func NewClient(base string, cat *cloud.Catalog) *Client {
 		base:    base,
 		catalog: cat,
 		http:    &http.Client{Timeout: 10 * time.Second},
-		remote:  make(map[string]string),
 	}
 }
 
@@ -121,13 +116,18 @@ func (c *Client) WaitReady(cl *cloud.Cluster) error {
 	return nil
 }
 
-// Run implements cloud.Provider.
-func (c *Client) Run(cl *cloud.Cluster, dur time.Duration) error {
+// Run implements cloud.Provider. The wire protocol carries no typed
+// spot interruption, so a run that succeeds consumed exactly dur and a
+// refused one consumed nothing.
+func (c *Client) Run(cl *cloud.Cluster, dur time.Duration) (time.Duration, error) {
 	if dur < 0 {
 		panic("cloudapi: negative run duration")
 	}
-	return c.do(http.MethodPost, "/v1/clusters/"+pathEscapeID(cl.ID)+"/run",
-		runRequest{Seconds: dur.Seconds()}, nil)
+	if err := c.do(http.MethodPost, "/v1/clusters/"+pathEscapeID(cl.ID)+"/run",
+		runRequest{Seconds: dur.Seconds()}, nil); err != nil {
+		return 0, err
+	}
+	return dur, nil
 }
 
 // Terminate implements cloud.Provider.

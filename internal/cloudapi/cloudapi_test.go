@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"mlcd/internal/chaos"
 	"mlcd/internal/cloud"
 	"mlcd/internal/mlcdsys"
 	"mlcd/internal/search"
@@ -37,8 +38,8 @@ func TestClientLifecycleOverHTTP(t *testing.T) {
 	if err := client.WaitReady(cl); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.Run(cl, time.Hour); err != nil {
-		t.Fatal(err)
+	if elapsed, err := client.Run(cl, time.Hour); err != nil || elapsed != time.Hour {
+		t.Fatalf("Run consumed %v (err %v), want exactly 1h", elapsed, err)
 	}
 	if err := client.Terminate(cl); err != nil {
 		t.Fatal(err)
@@ -76,11 +77,19 @@ func TestClientErrorMapping(t *testing.T) {
 }
 
 func TestClientTransientMapping(t *testing.T) {
-	prov, client, _ := newPair(t, cloud.DefaultQuota)
-	prov.InjectFailures(1.0, 1)
+	storm := chaos.Wrap(cloud.NewSimProvider(cloud.DefaultQuota, time.Minute), chaos.Plan{
+		Name:   "every-launch",
+		Faults: []chaos.Fault{{Kind: chaos.KindLaunchError, Rate: 1}},
+	}, 1, nil)
+	srv := httptest.NewServer(NewServer(storm, cloud.DefaultCatalog()))
+	t.Cleanup(srv.Close)
+	client := NewClient(srv.URL, cloud.DefaultCatalog())
 	d := cloud.NewDeployment(cloud.DefaultCatalog().MustLookup("c5.large"), 1)
 	if _, err := client.Launch(d); !errors.Is(err, cloud.ErrTransient) {
 		t.Fatalf("err = %v, want transient", err)
+	}
+	if n := storm.Injected(chaos.KindLaunchError); n != 1 {
+		t.Fatalf("Injected(launch_error) = %d, want 1", n)
 	}
 }
 
@@ -105,6 +114,17 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	}
 	if code := post("/v1/clusters/cluster-0001/run", `{"seconds":-5}`); code != http.StatusBadRequest && code != http.StatusNotFound {
 		t.Fatalf("negative run → %d", code)
+	}
+	// A live cluster and a run past time.Duration's range: the seconds
+	// must be refused, not wrapped negative into the provider.
+	if code := post("/v1/clusters", `{"type":"c5.large","nodes":1}`); code != http.StatusCreated {
+		t.Fatalf("launch → %d", code)
+	}
+	if code := post("/v1/clusters/cluster-0001/wait", ``); code != http.StatusOK {
+		t.Fatalf("wait → %d", code)
+	}
+	if code := post("/v1/clusters/cluster-0001/run", `{"seconds":1e19}`); code != http.StatusBadRequest {
+		t.Fatalf("out-of-range run → %d", code)
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -192,7 +193,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorJSON{Error: "run needs a non-negative seconds field"})
 		return
 	}
-	if err := s.provider.Run(cl, time.Duration(req.Seconds*float64(time.Second))); err != nil {
+	// Past time.Duration's range (about 292 years) the conversion wraps
+	// negative, which the provider refuses by panicking.
+	dur := req.Seconds * float64(time.Second)
+	if dur >= math.MaxInt64 {
+		writeJSON(w, http.StatusBadRequest, errorJSON{Error: "seconds out of range"})
+		return
+	}
+	if _, err := s.provider.Run(cl, time.Duration(dur)); err != nil {
 		writeJSON(w, statusFor(err), errorJSON{Error: err.Error()})
 		return
 	}

@@ -227,7 +227,7 @@ func TestE2EChaosLaunchStormRetriesReconcile(t *testing.T) {
 	if v := metricValue(t, run.metrics, `mlcd_cluster_launches_total{result="transient"}`); v != float64(storms) {
 		t.Errorf(`mlcd_cluster_launches_total{result="transient"} = %v, chaos injected %d`, v, storms)
 	}
-	// A storm can exhaust a whole launch (MaxAttempts transients, one
+	// A storm can exhaust a whole launch (all four attempts transient, one
 	// censored probe, no retry after the final attempt), so the retry
 	// counter is bounded by the injections on both sides: at most one
 	// retry per refusal, and only launches that gave up — each visible

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"mlcd/internal/chaos"
 	"mlcd/internal/cloud"
 	"mlcd/internal/mlcdsys"
 	"mlcd/internal/obs"
@@ -20,7 +21,7 @@ import (
 
 // e2eRun captures everything one full pass through the service produced:
 // the terminal submissions, their raw trace bodies, the /metrics text,
-// and how many transient launch failures the provider injected.
+// and how many transient launch failures the chaos plan injected.
 type e2eRun struct {
 	subs     []submissionJSON
 	traces   [][]byte
@@ -28,19 +29,22 @@ type e2eRun struct {
 	failures int
 }
 
-// runE2EStack boots the whole daemon stack — SimProvider with injected
-// launch failures, MLCD system, scheduler, HTTP server — and drives a
-// scenario-2 job (cheapest under a deadline) and a scenario-3 job
-// (fastest within a budget) to completion, sequentially on one worker so
-// every layer behaves deterministically under the fixed seeds.
+// runE2EStack boots the whole daemon stack — SimProvider behind a
+// chaos plan that refuses launches, MLCD system, scheduler, HTTP
+// server — and drives a scenario-2 job (cheapest under a deadline) and
+// a scenario-3 job (fastest within a budget) to completion,
+// sequentially on one worker so every layer behaves deterministically
+// under the fixed seeds.
 func runE2EStack(t *testing.T) e2eRun {
 	t.Helper()
 	cat, err := cloud.DefaultCatalog().Subset("c5.4xlarge")
 	if err != nil {
 		t.Fatal(err)
 	}
-	provider := cloud.NewSimProvider(cloud.Quota{MaxCPUNodes: 40, MaxGPUNodes: 1}, 2*time.Minute)
-	provider.InjectFailures(0.2, 7)
+	provider := chaos.Wrap(cloud.NewSimProvider(cloud.Quota{MaxCPUNodes: 40, MaxGPUNodes: 1}, 2*time.Minute), chaos.Plan{
+		Name:   "launch-errors",
+		Faults: []chaos.Fault{{Kind: chaos.KindLaunchError, Rate: 0.2}},
+	}, 7, nil)
 	sys := mlcdsys.New(mlcdsys.Config{
 		Catalog:  cat,
 		Limits:   cloud.SpaceLimits{MaxCPUNodes: 40, MaxGPUNodes: 1},
@@ -66,7 +70,7 @@ func runE2EStack(t *testing.T) e2eRun {
 		run.traces = append(run.traces, httpGetBody(t, hts.URL+"/v1/jobs/"+sub.ID+"/trace", http.StatusOK))
 	}
 	run.metrics = string(httpGetBody(t, hts.URL+"/metrics", http.StatusOK))
-	run.failures = provider.Failures()
+	run.failures = provider.Injected(chaos.KindLaunchError)
 	return run
 }
 

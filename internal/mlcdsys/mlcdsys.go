@@ -66,35 +66,19 @@ func AnalyzeScenario(r Requirements) (search.Scenario, search.Constraints, error
 	}
 }
 
-// PlatformAdapter is the ML Platform Interface: everything MLCD needs to
-// know to drive one training framework.
-type PlatformAdapter interface {
-	Platform() workload.Platform
-	// WarmupTime is the extra setup latency this platform adds when a
-	// cluster is handed over for training or profiling.
-	WarmupTime(d cloud.Deployment) time.Duration
+// platformWarmup is the ML Platform Interface: the base setup latency
+// each supported training framework adds when a cluster is handed over
+// for training. A platform with no entry cannot be deployed.
+var platformWarmup = map[workload.Platform]time.Duration{
+	workload.TensorFlow: 60 * time.Second,
+	workload.MXNet:      45 * time.Second,
+	workload.PyTorch:    45 * time.Second,
 }
 
-// basicAdapter covers the platforms the paper evaluates.
-type basicAdapter struct {
-	platform workload.Platform
-	warmup   time.Duration
-}
-
-func (a basicAdapter) Platform() workload.Platform { return a.platform }
-
-func (a basicAdapter) WarmupTime(d cloud.Deployment) time.Duration {
-	// Larger clusters take longer to rendezvous.
-	return a.warmup + time.Duration(d.Nodes/4)*15*time.Second
-}
-
-// DefaultAdapters returns adapters for TensorFlow, MXNet, and PyTorch.
-func DefaultAdapters() []PlatformAdapter {
-	return []PlatformAdapter{
-		basicAdapter{workload.TensorFlow, 60 * time.Second},
-		basicAdapter{workload.MXNet, 45 * time.Second},
-		basicAdapter{workload.PyTorch, 45 * time.Second},
-	}
+// warmupTime is the platform warm-up on d: the platform's base plus
+// rendezvous time, since larger clusters take longer to rendezvous.
+func warmupTime(base time.Duration, d cloud.Deployment) time.Duration {
+	return base + time.Duration(d.Nodes/4)*15*time.Second
 }
 
 // Config assembles a System.
@@ -104,7 +88,6 @@ type Config struct {
 	Searcher search.Searcher   // nil → HeterBO with Seed
 	Provider cloud.Provider    // nil → SimProvider with default quota
 	Sim      *sim.Simulator    // nil → sim.New(Seed); the testbed physics
-	Adapters []PlatformAdapter // nil → DefaultAdapters
 	Metrics  *obs.Registry     // nil → a fresh registry
 	Seed     int64
 	// Fidelities enables multi-fidelity probing in the default HeterBO
@@ -112,10 +95,10 @@ type Config struct {
 	// keeps every probe full — the classic pipeline, bit for bit.
 	// Ignored when an explicit Searcher is supplied.
 	Fidelities []float64
-	// Resilience tunes the fault-tolerant execution layer: launch retry
-	// backoff, the per-provider circuit breaker, and checkpoint/resume
-	// for the training run. The zero value keeps checkpointing off and
-	// reproduces the legacy behaviour exactly on a fault-free provider.
+	// Resilience tunes the fault-tolerant execution layer's
+	// checkpoint/resume for the training run. The zero value keeps
+	// checkpointing off and reproduces the legacy behaviour exactly on a
+	// fault-free provider.
 	Resilience Resilience
 }
 
@@ -126,7 +109,6 @@ type System struct {
 	searcher search.Searcher
 	provider cloud.Provider
 	sim      *sim.Simulator
-	adapters map[workload.Platform]PlatformAdapter
 	metrics  *obs.Registry
 	m        sysMetrics
 	res      Resilience
@@ -240,9 +222,6 @@ func New(cfg Config) *System {
 		// publish its performance histograms on the system's /metrics.
 		cfg.Searcher = core.New(core.Options{Seed: cfg.Seed, Metrics: cfg.Metrics, Fidelities: cfg.Fidelities})
 	}
-	if cfg.Adapters == nil {
-		cfg.Adapters = DefaultAdapters()
-	}
 	cfg.Resilience = cfg.Resilience.withDefaults()
 	s := &System{
 		catalog:  cfg.Catalog,
@@ -250,14 +229,10 @@ func New(cfg Config) *System {
 		searcher: cfg.Searcher,
 		provider: cfg.Provider,
 		sim:      cfg.Sim,
-		adapters: make(map[workload.Platform]PlatformAdapter, len(cfg.Adapters)),
 		metrics:  cfg.Metrics,
 		m:        registerMetrics(cfg.Metrics),
 		res:      cfg.Resilience,
-		brk:      newBreaker(cfg.Resilience.Breaker, cfg.Metrics),
-	}
-	for _, a := range cfg.Adapters {
-		s.adapters[a.Platform()] = a
+		brk:      newBreaker(cfg.Metrics),
 	}
 	return s
 }
@@ -300,16 +275,15 @@ type clusterProfiler struct {
 // cluster ever came up. Retries are counted in the metrics registry
 // and, when tracer is non-nil, narrated to the job's timeline.
 func (s *System) launchWithRetry(ctx context.Context, d cloud.Deployment, tracer obs.EventSink) (*cloud.Cluster, time.Duration, error) {
-	pol := s.res.Retry
 	var waited time.Duration
 	var lastErr error
-	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < launchAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, waited, err
 		}
 		if cool := s.brk.acquire(s.provider.Now()); cool > 0 {
-			if waited+cool > pol.MaxWait {
-				return nil, waited, fmt.Errorf("mlcdsys: breaker open past the %s launch deadline: %w", pol.MaxWait, cloud.ErrTransient)
+			if waited+cool > launchWaitLimit {
+				return nil, waited, fmt.Errorf("mlcdsys: breaker open past the %s launch deadline: %w", launchWaitLimit, cloud.ErrTransient)
 			}
 			if tracer != nil {
 				tracer.Emit(obs.Event{
@@ -334,9 +308,9 @@ func (s *System) launchWithRetry(ctx context.Context, d cloud.Deployment, tracer
 		}
 		s.m.launchesTransient.Inc()
 		s.brk.failure(s.provider.Now())
-		if attempt < pol.MaxAttempts-1 {
-			backoff := pol.backoff(d, attempt)
-			if waited+backoff > pol.MaxWait {
+		if attempt < launchAttempts-1 {
+			backoff := retryBackoff(d, attempt)
+			if waited+backoff > launchWaitLimit {
 				break
 			}
 			s.m.launchRetries.Inc()
@@ -351,7 +325,7 @@ func (s *System) launchWithRetry(ctx context.Context, d cloud.Deployment, tracer
 			waited += backoff
 		}
 	}
-	return nil, waited, fmt.Errorf("mlcdsys: giving up after %d transient failures: %w", pol.MaxAttempts, lastErr)
+	return nil, waited, fmt.Errorf("mlcdsys: giving up after %d transient failures: %w", launchAttempts, lastErr)
 }
 
 // terminateAttempts bounds the Terminate retry loop. The backoff sum
@@ -377,7 +351,7 @@ func (s *System) terminate(ctx context.Context, cl *cloud.Cluster, tracer obs.Ev
 			break
 		}
 		if attempt < terminateAttempts-1 {
-			s.sleep(ctx, s.res.Retry.backoff(cl.Deployment, attempt))
+			s.sleep(ctx, retryBackoff(cl.Deployment, attempt))
 		}
 	}
 	s.m.terminateErrors.Inc()
@@ -444,7 +418,7 @@ func (p *clusterProfiler) ProfileAt(j workload.Job, d cloud.Deployment, f float6
 		}
 		return p.failedProbe(d, burned, cost)
 	}
-	elapsed, err := cloud.RunElapsed(p.sys.provider, cl, profiler.DurationAt(d.Nodes, f))
+	elapsed, err := p.sys.provider.Run(cl, profiler.DurationAt(d.Nodes, f))
 	if err != nil {
 		// The cluster ran (and billed) for elapsed before the failure —
 		// a spot reclamation bills its partial run — so the charge still
@@ -569,9 +543,9 @@ func (s *System) DeployCtx(ctx context.Context, j workload.Job, req Requirements
 	if err := j.Validate(); err != nil {
 		return Report{}, err
 	}
-	adapter, ok := s.adapters[j.Platform]
+	baseWarmup, ok := platformWarmup[j.Platform]
 	if !ok {
-		return Report{}, fmt.Errorf("mlcdsys: no adapter for platform %v", j.Platform)
+		return Report{}, fmt.Errorf("mlcdsys: unsupported platform %v", j.Platform)
 	}
 
 	// The search engine plans with measured (noisy) throughput and knows
@@ -636,7 +610,7 @@ func (s *System) DeployCtx(ctx context.Context, j workload.Job, req Requirements
 	}
 
 	// Execute training on the chosen deployment.
-	warmup := adapter.WarmupTime(out.Best)
+	warmup := warmupTime(baseWarmup, out.Best)
 	if opts.Tracer != nil {
 		opts.Tracer.Emit(obs.Event{
 			Kind:       "train_started",
@@ -754,7 +728,7 @@ func (s *System) runTraining(ctx context.Context, j workload.Job, d cloud.Deploy
 				chunk = s.res.CheckpointEvery
 			}
 			seg := pending + chunk
-			elapsed, err := cloud.RunElapsed(s.provider, cl, seg)
+			elapsed, err := s.provider.Run(cl, seg)
 			if err != nil {
 				var spot *cloud.SpotInterruption
 				if !errors.As(err, &spot) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"mlcd/internal/chaos"
 	"mlcd/internal/cloud"
 	"mlcd/internal/profiler"
 	"mlcd/internal/search"
@@ -31,15 +32,14 @@ func TestAnalyzeScenario(t *testing.T) {
 }
 
 func TestPlatformAdapters(t *testing.T) {
-	as := DefaultAdapters()
-	if len(as) != 3 {
-		t.Fatalf("adapters = %d", len(as))
+	if len(platformWarmup) != 3 {
+		t.Fatalf("platforms = %d", len(platformWarmup))
 	}
 	d1 := cloud.NewDeployment(cloud.DefaultCatalog().MustLookup("c5.xlarge"), 1)
 	d40 := cloud.NewDeployment(cloud.DefaultCatalog().MustLookup("c5.xlarge"), 40)
-	for _, a := range as {
-		if a.WarmupTime(d40) <= a.WarmupTime(d1) {
-			t.Errorf("%v: warm-up must grow with cluster size", a.Platform())
+	for p, base := range platformWarmup {
+		if warmupTime(base, d40) <= warmupTime(base, d1) {
+			t.Errorf("%v: warm-up must grow with cluster size", p)
 		}
 	}
 }
@@ -151,15 +151,15 @@ func TestDeployRejectsInvalidJob(t *testing.T) {
 
 func TestDeployRejectsUnknownPlatform(t *testing.T) {
 	sys := New(Config{
-		Catalog:  mustSubset(t, "c5.4xlarge"),
-		Limits:   cloud.SpaceLimits{MaxCPUNodes: 10, MaxGPUNodes: 1},
-		Adapters: []PlatformAdapter{},
-		Seed:     1,
+		Catalog: mustSubset(t, "c5.4xlarge"),
+		Limits:  cloud.SpaceLimits{MaxCPUNodes: 10, MaxGPUNodes: 1},
+		Seed:    1,
 	})
-	// Explicit empty adapter list → no platform support at all. New
-	// treats nil as "use defaults", so pass a non-nil empty slice.
-	if _, err := sys.Deploy(workload.ResNetCIFAR10, Requirements{}); err == nil {
-		t.Fatal("missing platform adapter must be rejected")
+	// A valid job on a platform with no warm-up entry.
+	j := workload.ResNetCIFAR10
+	j.Platform = workload.Platform(9)
+	if _, err := sys.Deploy(j, Requirements{}); err == nil {
+		t.Fatal("an unsupported platform must be rejected")
 	}
 }
 
@@ -182,13 +182,22 @@ func TestSystemDefaults(t *testing.T) {
 	}
 }
 
+// launchStorm wraps prov in a chaos plan that refuses each launch with
+// probability rate, drawn from seed.
+func launchStorm(prov cloud.Provider, rate float64, seed int64) *chaos.Provider {
+	return chaos.Wrap(prov, chaos.Plan{
+		Name:   "launch-errors",
+		Faults: []chaos.Fault{{Kind: chaos.KindLaunchError, Rate: rate}},
+	}, seed, nil)
+}
+
 func TestDeploySurvivesTransientFailures(t *testing.T) {
 	prov := cloud.NewSimProvider(cloud.DefaultQuota, time.Minute)
-	prov.InjectFailures(0.35, 2)
+	storm := launchStorm(prov, 0.35, 2)
 	sys := New(Config{
 		Catalog:  mustSubset(t, "c5.4xlarge"),
 		Limits:   cloud.SpaceLimits{MaxCPUNodes: 40, MaxGPUNodes: 1},
-		Provider: prov,
+		Provider: storm,
 		Seed:     1,
 	})
 	rep, err := sys.Deploy(workload.ResNetCIFAR10, Requirements{Budget: 120})
@@ -198,7 +207,7 @@ func TestDeploySurvivesTransientFailures(t *testing.T) {
 	if !rep.Satisfied {
 		t.Fatalf("budget not satisfied: $%.2f", rep.TotalCost)
 	}
-	if prov.Failures() == 0 {
+	if storm.Injected(chaos.KindLaunchError) == 0 {
 		t.Fatal("the failure injector never fired; the test exercised nothing")
 	}
 	cpu, gpu := prov.InUse()
@@ -208,16 +217,18 @@ func TestDeploySurvivesTransientFailures(t *testing.T) {
 }
 
 func TestDeployGivesUpUnderPersistentFailures(t *testing.T) {
-	prov := cloud.NewSimProvider(cloud.DefaultQuota, time.Minute)
-	prov.InjectFailures(1.0, 99) // every launch fails
+	storm := launchStorm(cloud.NewSimProvider(cloud.DefaultQuota, time.Minute), 1.0, 99) // every launch fails
 	sys := New(Config{
 		Catalog:  mustSubset(t, "c5.4xlarge"),
 		Limits:   cloud.SpaceLimits{MaxCPUNodes: 10, MaxGPUNodes: 1},
-		Provider: prov,
+		Provider: storm,
 		Seed:     1,
 	})
 	if _, err := sys.Deploy(workload.ResNetCIFAR10, Requirements{}); err == nil {
 		t.Fatal("a fully broken control plane must surface an error")
+	}
+	if storm.Injected(chaos.KindLaunchError) == 0 {
+		t.Fatal("the failure injector never fired; the test exercised nothing")
 	}
 }
 
@@ -226,6 +237,8 @@ func TestDeployGivesUpUnderPersistentFailures(t *testing.T) {
 // exactly what Profile returns, and counts no low-fidelity probe. At
 // f = 0.5 it runs a two-measurement burst billed at DurationAt, reports
 // its fidelity, and counts once in mlcd_profile_lowfi_probes_total.
+// Below MinFidelity it is the MinFidelity burst: measured, billed and
+// reported at the floor, not at the requested fraction.
 func TestClusterProfileAt(t *testing.T) {
 	twin := func() (*System, *clusterProfiler) {
 		sys := New(Config{Seed: 3, Provider: cloud.NewSimProvider(cloud.DefaultQuota, time.Minute)})
@@ -254,5 +267,11 @@ func TestClusterProfileAt(t *testing.T) {
 	}
 	if n := sys.m.probesLowFi.Value(); n != 1 {
 		t.Fatalf("burst counted %v low-fidelity probes, want 1", n)
+	}
+	_, ref := twin()
+	_, p = twin()
+	want := ref.ProfileAt(j, d, profiler.MinFidelity)
+	if got := p.ProfileAt(j, d, 0.01); got != want {
+		t.Fatalf("ProfileAt(f=0.01) = %+v, want the MinFidelity burst %+v", got, want)
 	}
 }

@@ -12,50 +12,35 @@ import (
 	"mlcd/internal/obs"
 )
 
-// RetryPolicy shapes how launchWithRetry spreads its attempts: capped
-// exponential backoff with deterministic jitter, slept on the provider
-// clock when it is virtual (cloud.ClockAdvancer) and on the wall clock
-// otherwise. The zero value resolves to the defaults below, which
-// reproduce the historical 4-attempt behaviour plus a short backoff.
-type RetryPolicy struct {
-	MaxAttempts int           // total Launch attempts (default 4)
-	BaseBackoff time.Duration // delay before the first retry (default 15s)
-	Multiplier  float64       // growth per retry (default 2)
-	MaxBackoff  time.Duration // per-retry cap (default 4m)
-	// MaxWait is the per-call deadline on cumulative waiting (backoffs
-	// plus breaker cooldowns): once a launch has burned this much virtual
-	// time waiting, it gives up rather than eroding more of the job's
-	// headroom (default 30m).
-	MaxWait time.Duration
-}
+// The launch retry policy: capped exponential backoff with
+// deterministic jitter, slept on the provider clock when it is virtual
+// (cloud.ClockAdvancer) and on the wall clock otherwise.
+const (
+	launchAttempts = 4                // total Launch attempts per launch
+	backoffBase    = 15 * time.Second // delay before the first retry
+	backoffFactor  = 2                // growth per retry
+	backoffCap     = 4 * time.Minute  // per-retry cap
+	// launchWaitLimit is the per-launch deadline on cumulative waiting
+	// (backoffs plus breaker cooldowns): once a launch has burned this
+	// much virtual time waiting, it gives up rather than eroding more of
+	// the job's headroom.
+	launchWaitLimit = 30 * time.Minute
+)
 
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 4
-	}
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = 15 * time.Second
-	}
-	if p.Multiplier < 1 {
-		p.Multiplier = 2
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 4 * time.Minute
-	}
-	if p.MaxWait <= 0 {
-		p.MaxWait = 30 * time.Minute
-	}
-	return p
-}
+// The per-provider circuit breaker.
+const (
+	breakerThreshold = 5               // consecutive transients that open it
+	breakerCooldown  = 5 * time.Minute // open duration before a half-open probe
+)
 
-// backoff returns the delay before retry number attempt (0-based) of a
-// launch for d. The ±20% jitter is derived from (deployment, attempt)
-// rather than a shared RNG stream, so concurrent jobs cannot perturb
-// each other's retry timing and a seeded run replays exactly.
-func (p RetryPolicy) backoff(d cloud.Deployment, attempt int) time.Duration {
-	b := float64(p.BaseBackoff) * math.Pow(p.Multiplier, float64(attempt))
-	if b > float64(p.MaxBackoff) {
-		b = float64(p.MaxBackoff)
+// retryBackoff returns the delay before retry number attempt (0-based)
+// of a launch for d. The ±20% jitter is derived from (deployment,
+// attempt) rather than a shared RNG stream, so concurrent jobs cannot
+// perturb each other's retry timing and a seeded run replays exactly.
+func retryBackoff(d cloud.Deployment, attempt int) time.Duration {
+	b := float64(backoffBase) * math.Pow(backoffFactor, float64(attempt))
+	if b > float64(backoffCap) {
+		b = float64(backoffCap)
 	}
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(d.Key()))
@@ -64,30 +49,11 @@ func (p RetryPolicy) backoff(d cloud.Deployment, attempt int) time.Duration {
 	return time.Duration(b * (0.8 + 0.4*frac))
 }
 
-// BreakerPolicy configures the per-provider circuit breaker.
-type BreakerPolicy struct {
-	Threshold int           // consecutive transients that open the breaker (default 5)
-	Cooldown  time.Duration // open duration before a half-open probe (default 5m)
-}
-
-func (p BreakerPolicy) withDefaults() BreakerPolicy {
-	if p.Threshold <= 0 {
-		p.Threshold = 5
-	}
-	if p.Cooldown <= 0 {
-		p.Cooldown = 5 * time.Minute
-	}
-	return p
-}
-
-// Resilience bundles the execution layer's fault-tolerance knobs. The
-// zero value resolves retry and breaker defaults but leaves training
-// checkpointing off, reproducing the pre-resilience single-Run training
-// path exactly on a fault-free provider.
+// Resilience bundles the execution layer's training fault-tolerance
+// knobs. The zero value leaves checkpointing off, reproducing the
+// pre-resilience single-Run training path exactly on a fault-free
+// provider.
 type Resilience struct {
-	Retry   RetryPolicy
-	Breaker BreakerPolicy
-
 	// CheckpointEvery splits the training run into checkpointed chunks
 	// of this much training time: a spot interruption only loses the
 	// partial chunk since the last checkpoint, and training resumes
@@ -102,8 +68,6 @@ type Resilience struct {
 }
 
 func (r Resilience) withDefaults() Resilience {
-	r.Retry = r.Retry.withDefaults()
-	r.Breaker = r.Breaker.withDefaults()
 	if r.MaxResumes == 0 {
 		r.MaxResumes = 3
 	} else if r.MaxResumes < 0 {
@@ -120,15 +84,15 @@ const (
 )
 
 // breaker is a per-provider circuit breaker on the virtual clock: after
-// Threshold consecutive transient launch failures it opens, and every
-// caller arriving while it is open waits out the remaining cooldown (on
-// the provider clock) before the half-open probe. On a virtual clock
-// the wait is an Advance — instantaneous in wall time, charged against
-// the job's headroom — so a control-plane brownout is survived by
-// sitting it out rather than bleeding every probe into failure.
+// breakerThreshold consecutive transient launch failures it opens, and
+// every caller arriving while it is open waits out the remaining
+// cooldown (on the provider clock) before the half-open probe. On a
+// virtual clock the wait is an Advance — instantaneous in wall time,
+// charged against the job's headroom — so a control-plane brownout is
+// survived by sitting it out rather than bleeding every probe into
+// failure.
 type breaker struct {
 	mu          sync.Mutex
-	pol         BreakerPolicy
 	consecutive int
 	state       int
 	openedAt    time.Duration
@@ -137,9 +101,8 @@ type breaker struct {
 	transitions func(to string) *obs.Counter
 }
 
-func newBreaker(pol BreakerPolicy, reg *obs.Registry) *breaker {
+func newBreaker(reg *obs.Registry) *breaker {
 	b := &breaker{
-		pol:   pol,
 		gauge: reg.Gauge("mlcd_breaker_state", "Circuit breaker state (0 closed, 1 open, 2 half-open)."),
 		transitions: func(to string) *obs.Counter {
 			return reg.Counter("mlcd_breaker_transitions_total",
@@ -165,7 +128,7 @@ func (b *breaker) acquire(now time.Duration) time.Duration {
 	if b.state != breakerOpen {
 		return 0
 	}
-	wait := b.openedAt + b.pol.Cooldown - now
+	wait := b.openedAt + breakerCooldown - now
 	if wait < 0 {
 		wait = 0
 	}
@@ -188,13 +151,13 @@ func (b *breaker) success() {
 }
 
 // failure records a transient launch failure at virtual time now: a
-// failed half-open probe reopens immediately, and Threshold consecutive
-// failures open a closed circuit.
+// failed half-open probe reopens immediately, and breakerThreshold
+// consecutive failures open a closed circuit.
 func (b *breaker) failure(now time.Duration) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.consecutive++
-	if b.state == breakerHalfOpen || (b.state == breakerClosed && b.consecutive >= b.pol.Threshold) {
+	if b.state == breakerHalfOpen || (b.state == breakerClosed && b.consecutive >= breakerThreshold) {
 		b.state = breakerOpen
 		b.openedAt = now
 		b.gauge.Set(breakerOpen)

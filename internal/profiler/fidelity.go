@@ -26,10 +26,14 @@ const SetupFloor = 2 * time.Minute
 const MinFidelity = 0.05
 
 // Fid normalizes a fidelity value: zero (the unset field default) and
-// anything ≥ 1 mean a full-fidelity probe.
+// anything ≥ 1 mean a full-fidelity probe, and a fraction below
+// MinFidelity is clamped up to it.
 func Fid(f float64) float64 {
-	if f <= 0 || f >= 1 {
+	switch {
+	case f <= 0 || f >= 1:
 		return 1
+	case f < MinFidelity:
+		return MinFidelity
 	}
 	return f
 }
@@ -41,9 +45,6 @@ func DurationAt(nodes int, f float64) time.Duration {
 	f = Fid(f)
 	if f >= 1 {
 		return full
-	}
-	if f < MinFidelity {
-		f = MinFidelity
 	}
 	return SetupFloor + time.Duration(f*float64(full-SetupFloor))
 }
@@ -98,9 +99,6 @@ const (
 // for OOMFailDuration.
 func (p *SimProfiler) ProfileAt(j workload.Job, d cloud.Deployment, f float64) Result {
 	f = Fid(f)
-	if f < MinFidelity {
-		f = MinFidelity
-	}
 	low := f < 1
 	r := Result{Deployment: d}
 	iters := fullFidelityIters

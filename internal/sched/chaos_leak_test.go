@@ -18,8 +18,8 @@ import (
 type wallClockProvider struct{ cloud.Provider }
 
 // TestShutdownNoLeakMidChaosBackoff wedges a worker *inside* the retry
-// path: a chaos plan refuses every launch, the retry policy backs off
-// for an hour on the wall clock, and Shutdown fires while the worker is
+// path: a chaos plan refuses every launch, the first retry backs off
+// 12–18s on the wall clock, and Shutdown fires while the worker is
 // asleep in that backoff. The cancelled run context must abort the
 // sleep immediately and every scheduler goroutine must exit — a backoff
 // that ignores cancellation would pin the worker (and the daemon's
@@ -41,11 +41,6 @@ func TestShutdownNoLeakMidChaosBackoff(t *testing.T) {
 		Limits:   cloud.SpaceLimits{MaxCPUNodes: 40, MaxGPUNodes: 1},
 		Provider: wallClockProvider{storm},
 		Seed:     1,
-		Resilience: mlcdsys.Resilience{
-			// MaxWait must clear the backoff, or the retry loop gives up
-			// instead of sleeping and nothing is ever mid-backoff.
-			Retry: mlcdsys.RetryPolicy{BaseBackoff: time.Hour, MaxBackoff: time.Hour, MaxWait: 3 * time.Hour},
-		},
 	})
 	s, err := New(sys, Config{Workers: 1})
 	if err != nil {
@@ -55,7 +50,8 @@ func TestShutdownNoLeakMidChaosBackoff(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The first refused launch puts the worker into its hour-long backoff.
+	// The first refused launch puts the worker into its first backoff,
+	// which outlasts the shutdown grace below many times over.
 	deadline := time.Now().Add(10 * time.Second)
 	for storm.Injected(chaos.KindLaunchError) == 0 {
 		if !time.Now().Before(deadline) {
