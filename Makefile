@@ -31,7 +31,8 @@ bench:
 # one: >10% regression on BenchmarkHeterBOSearch or
 # BenchmarkNextCandidate fails the build, as does more than 2% (or
 # 500ns, whichever is larger) of fault-free FS-indirection overhead on
-# the journal append pair.
+# the journal append pair, or of the four-lane Matérn kernel over its
+# scalar path.
 bench-compare:
 	sh scripts/bench_compare.sh
 

@@ -149,6 +149,19 @@ func (c *Client) Now() time.Duration {
 	return time.Duration(out["now_seconds"] * float64(time.Second))
 }
 
+// Advance implements cloud.ClockAdvancer: it moves the server's virtual
+// clock forward by d (POST /v1/advance), so retry backoffs and breaker
+// cooldowns cost no wall time. If the call fails, as against a provider
+// that keeps no virtual clock, it sleeps d on the wall clock instead.
+func (c *Client) Advance(d time.Duration) {
+	if d <= 0 {
+		return
+	}
+	if err := c.do(http.MethodPost, "/v1/advance", runRequest{Seconds: d.Seconds()}, nil); err != nil {
+		time.Sleep(d)
+	}
+}
+
 // TotalBilled implements cloud.Provider.
 func (c *Client) TotalBilled() float64 {
 	var out map[string]float64
@@ -167,5 +180,8 @@ func (c *Client) Catalog() ([]cloud.InstanceType, error) {
 	return types, nil
 }
 
-// Interface conformance check.
-var _ cloud.Provider = (*Client)(nil)
+// Interface conformance checks.
+var (
+	_ cloud.Provider      = (*Client)(nil)
+	_ cloud.ClockAdvancer = (*Client)(nil)
+)

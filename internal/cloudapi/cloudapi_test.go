@@ -195,3 +195,80 @@ func TestMLCDDeployOverHTTP(t *testing.T) {
 		t.Fatalf("clusters leaked through the HTTP path: %d CPU, %d GPU", cpu, gpu)
 	}
 }
+
+func TestClientAdvanceMovesServerClock(t *testing.T) {
+	prov, client, _ := newPair(t, cloud.DefaultQuota)
+	before := prov.Now()
+	start := time.Now()
+	client.Advance(90 * time.Second)
+	if got := prov.Now() - before; got != 90*time.Second {
+		t.Fatalf("Advance(90s) moved the server clock by %v", got)
+	}
+	if wall := time.Since(start); wall > time.Second {
+		t.Fatalf("Advance(90s) took %v of wall time: it slept instead of advancing", wall)
+	}
+}
+
+func TestServerAdvanceRefusals(t *testing.T) {
+	_, _, srv := newPair(t, cloud.DefaultQuota)
+	// A provider with no virtual clock: the embedded interface hides
+	// SimProvider's Advance.
+	wall := httptest.NewServer(NewServer(struct{ cloud.Provider }{cloud.NewSimProvider(cloud.DefaultQuota, time.Minute)}, cloud.DefaultCatalog()))
+	t.Cleanup(wall.Close)
+	post := func(base, body string) int {
+		resp, err := http.Post(base+"/v1/advance", "application/json", bytes.NewBufferString(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = resp.Body.Close() }()
+		return resp.StatusCode
+	}
+	for body, want := range map[string]int{
+		`{`:                 http.StatusBadRequest,
+		`{"seconds":-1}`:    http.StatusBadRequest,
+		`{"seconds":1e19}`:  http.StatusBadRequest,
+		`{"seconds":1e999}`: http.StatusBadRequest,
+		`{"seconds":0}`:     http.StatusOK,
+		`{"seconds":30}`:    http.StatusOK,
+	} {
+		if code := post(srv.URL, body); code != want {
+			t.Errorf("advance %s → %d, want %d", body, code, want)
+		}
+	}
+	if code := post(wall.URL, `{"seconds":30}`); code != http.StatusConflict {
+		t.Errorf("advance on a provider without a virtual clock → %d, want 409", code)
+	}
+}
+
+func TestMLCDDeployRetryBacksOffOnServerClock(t *testing.T) {
+	// The first launch is refused, so the deploy sleeps one retry
+	// backoff (12–18 s): on the server's virtual clock, not the wall's.
+	refuse := chaos.Wrap(cloud.NewSimProvider(cloud.DefaultQuota, time.Minute), chaos.Plan{
+		Name:   "first-launch",
+		Faults: []chaos.Fault{{Kind: chaos.KindLaunchError, Count: 1}},
+	}, 1, nil)
+	cat, err := cloud.DefaultCatalog().Subset("c5.4xlarge")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewServer(refuse, cloud.DefaultCatalog()))
+	defer srv.Close()
+	sys := mlcdsys.New(mlcdsys.Config{
+		Catalog:  cat,
+		Limits:   cloud.SpaceLimits{MaxCPUNodes: 40, MaxGPUNodes: 1},
+		Provider: NewClient(srv.URL, cloud.DefaultCatalog()),
+		Seed:     1,
+	})
+	start := time.Now()
+	if _, err := sys.Deploy(workload.ResNetCIFAR10, mlcdsys.Requirements{Budget: 120}); err != nil {
+		t.Fatal(err)
+	}
+	wall := time.Since(start)
+	if n := refuse.Injected(chaos.KindLaunchError); n != 1 {
+		t.Fatalf("Injected(launch_error) = %d, want 1", n)
+	}
+	if wall > time.Second {
+		t.Fatalf("deploy took %v of wall time: the retry backoff slept on the wall clock", wall)
+	}
+	t.Logf("deploy with one refused launch: %v of wall time", wall)
+}

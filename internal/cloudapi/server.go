@@ -12,6 +12,11 @@
 //	POST   /v1/clusters/{id}/wait   → cluster (running)
 //	POST   /v1/clusters/{id}/run    {"seconds"} → cluster
 //	DELETE /v1/clusters/{id}        → cluster (terminated)
+//	POST   /v1/advance              {"seconds"} → {"now_seconds": ...}
+//
+// /v1/advance moves a virtual clock forward with no cluster work, as a
+// retry backoff or breaker cooldown does; a provider that keeps no
+// virtual clock answers it 409.
 //
 // Errors map to status codes: quota → 429, transient → 503, unknown or
 // inactive cluster → 409, bad request → 400.
@@ -47,7 +52,7 @@ type launchRequest struct {
 	Nodes int    `json:"nodes"`
 }
 
-// runRequest is the POST /v1/clusters/{id}/run body.
+// runRequest is the POST /v1/clusters/{id}/run and POST /v1/advance body.
 type runRequest struct {
 	Seconds float64 `json:"seconds"`
 }
@@ -82,6 +87,7 @@ func NewServer(p cloud.Provider, cat *cloud.Catalog) *Server {
 	s.mux.HandleFunc("POST /v1/clusters/{id}/wait", s.handleWait)
 	s.mux.HandleFunc("POST /v1/clusters/{id}/run", s.handleRun)
 	s.mux.HandleFunc("DELETE /v1/clusters/{id}", s.handleTerminate)
+	s.mux.HandleFunc("POST /v1/advance", s.handleAdvance)
 	return s
 }
 
@@ -193,18 +199,47 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorJSON{Error: "run needs a non-negative seconds field"})
 		return
 	}
-	// Past time.Duration's range (about 292 years) the conversion wraps
-	// negative, which the provider refuses by panicking.
-	dur := req.Seconds * float64(time.Second)
-	if dur >= math.MaxInt64 {
+	dur, ok := secondsDuration(req.Seconds)
+	if !ok {
 		writeJSON(w, http.StatusBadRequest, errorJSON{Error: "seconds out of range"})
 		return
 	}
-	if _, err := s.provider.Run(cl, time.Duration(dur)); err != nil {
+	if _, err := s.provider.Run(cl, dur); err != nil {
 		writeJSON(w, statusFor(err), errorJSON{Error: err.Error()})
 		return
 	}
 	writeJSON(w, http.StatusOK, toJSONCluster(cl))
+}
+
+// secondsDuration converts a request's seconds to a duration, refusing
+// NaN, negative values and values past time.Duration's range (about 292
+// years), where the conversion would wrap negative.
+func secondsDuration(seconds float64) (time.Duration, bool) {
+	dur := seconds * float64(time.Second)
+	if !(dur >= 0 && dur < math.MaxInt64) {
+		return 0, false
+	}
+	return time.Duration(dur), true
+}
+
+func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
+	var req runRequest
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		writeJSON(w, http.StatusBadRequest, errorJSON{Error: "malformed body: " + err.Error()})
+		return
+	}
+	dur, ok := secondsDuration(req.Seconds)
+	if !ok {
+		writeJSON(w, http.StatusBadRequest, errorJSON{Error: "seconds out of range"})
+		return
+	}
+	ca, ok := s.provider.(cloud.ClockAdvancer)
+	if !ok {
+		writeJSON(w, http.StatusConflict, errorJSON{Error: "provider keeps no virtual clock"})
+		return
+	}
+	ca.Advance(dur)
+	writeJSON(w, http.StatusOK, map[string]float64{"now_seconds": s.provider.Now().Seconds()})
 }
 
 func (s *Server) handleTerminate(w http.ResponseWriter, r *http.Request) {

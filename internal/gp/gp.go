@@ -68,6 +68,7 @@ type GP struct {
 	kmat     *mat.Dense    // scratch: kernel matrix without the noise diagonal
 	spare    *mat.Cholesky // double buffer: CholeskyInto target, swapped with chol
 	rowBuf   []float64     // scratch: bordering row for Cholesky.Extend
+	triBuf   []float64     // scratch: packed lower triangle of the kernel matrix
 	paramBuf []float64     // scratch: packed params for paramsUnchanged
 
 	factorN      int       // observation count the current factor covers (-1 = stale)
@@ -374,12 +375,19 @@ func (g *GP) buildK(n int) {
 		g.kmat.Reset(n, n)
 	}
 	if g.batchk != nil {
-		// Row i's pairs (i, 0..i) sit contiguously in the triangle, so
-		// each lower-triangle row fills with one devirtualized call.
-		dim := g.diffs.dim
+		// The difference cache is the whole lower triangle, row after
+		// row, so one devirtualized call evaluates it (the Matérn
+		// kernel's lanes then leave at most three values to its scalar
+		// tail per rebuild), and row i's pairs (i, 0..i) are copied out.
+		tri := n * (n + 1) / 2
+		if cap(g.triBuf) < tri {
+			g.triBuf = make([]float64, tri)
+		}
+		g.triBuf = g.triBuf[:tri]
+		g.batchk.evalDiffBatch(g.triBuf, g.diffs.data[:tri*g.diffs.dim])
 		for i := 0; i < n; i++ {
-			off := i * (i + 1) / 2 * dim
-			g.batchk.evalDiffBatch(g.kmat.Row(i)[:i+1], g.diffs.data[off:off+(i+1)*dim])
+			off := i * (i + 1) / 2
+			copy(g.kmat.Row(i)[:i+1], g.triBuf[off:off+i+1])
 		}
 		return
 	}

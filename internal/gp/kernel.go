@@ -288,18 +288,37 @@ func (k *Matern52) EvalDiff(diff []float64) float64 {
 	return k.fromR2(sqDistDiff(diff, k.lengthscales()))
 }
 
+// fromR2Batch replaces each r2s[c] with fromR2(r2s[c]). Where the
+// four-lane kernel is armed (amd64 with AVX2 and FMA, see
+// matern_amd64.go) it maps every block of four it can and hands the
+// rest, blocks it declines and the tail of fewer than four, to fromR2.
+// Both paths produce the same bits.
+func (k *Matern52) fromR2Batch(r2s []float64) {
+	i := 0
+	if maternArmed {
+		for {
+			i += maternLanes(r2s[i:], k.sig2)
+			if len(r2s)-i < 4 {
+				break
+			}
+			for end := i + 4; i < end; i++ {
+				r2s[i] = k.fromR2(r2s[i])
+			}
+		}
+	}
+	for ; i < len(r2s); i++ {
+		r2s[i] = k.fromR2(r2s[i])
+	}
+}
+
 func (k *Matern52) evalRowInto(dst, x, qs []float64) {
 	k.sqDistRow(dst, x, qs)
-	for c, r2 := range dst {
-		dst[c] = k.fromR2(r2)
-	}
+	k.fromR2Batch(dst)
 }
 
 func (k *Matern52) evalDiffBatch(dst, diffs []float64) {
 	k.sqDistBatch(dst, diffs)
-	for c, r2 := range dst {
-		dst[c] = k.fromR2(r2)
-	}
+	k.fromR2Batch(dst)
 }
 
 // Params implements Kernel.

@@ -51,6 +51,10 @@ go test -run '^$' -bench 'BenchmarkPlaneRecover$' -benchtime 10x -count=3 ./inte
 echo "bench.sh: surrogate engine" >&2
 go test -run '^$' -bench 'BenchmarkSurrogateObserve' -benchtime 50x ./internal/bo/ >>"$RAW"
 go test -run '^$' -bench 'BenchmarkFitMLE$' -benchtime 20x ./internal/gp/ >>"$RAW"
+# The Matérn map over 256 values, disarmed (Scalar) and through the
+# four-lane kernel where the CPU has it (Batch): a within-record pair,
+# so bench_compare.sh gates it on one machine.
+go test -run '^$' -bench 'BenchmarkMatern(Scalar|Batch)$' -benchtime 20000x -count=3 ./internal/gp/ >>"$RAW"
 go test -run '^$' -bench 'BenchmarkNextCandidate$' -benchtime 1000x -count=3 ./internal/core/ >>"$RAW"
 
 go run ./cmd/benchgate fmt -out "$OUT" <"$RAW"

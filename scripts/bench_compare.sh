@@ -4,7 +4,10 @@
 # Diffs the fresh benchmark record against the committed previous one
 # and fails when BenchmarkHeterBOSearch or BenchmarkNextCandidate — the
 # two timings the flattening work is accountable for — slowed by more
-# than 10%. Duplicate rows in either record collapse by min before
+# than 10%. Two pairs are gated within the fresh record, on one
+# machine: the journal's FS indirection over a direct append, and the
+# four-lane Matérn kernel over its scalar path (it may never be
+# slower). Duplicate rows in either record collapse by min before
 # comparison (BENCH_PR4.json predates the deduplication and carries
 # three BenchmarkHeterBOSearch rows).
 #
@@ -21,4 +24,5 @@ go run ./cmd/benchgate compare -old "$OLD" -new "$NEW" \
 	-bench BenchmarkHeterBOSearch,BenchmarkNextCandidate \
 	-max-regress-pct 10 \
 	-pair BenchmarkJournalAppendDirect=BenchmarkJournalAppend \
+	-pair BenchmarkMaternScalar=BenchmarkMaternBatch \
 	-max-overhead-pct 2 -overhead-floor-ns 500
