@@ -31,8 +31,9 @@ bench:
 # one: >10% regression on BenchmarkHeterBOSearch or
 # BenchmarkNextCandidate fails the build, as does more than 2% (or
 # 500ns, whichever is larger) of fault-free FS-indirection overhead on
-# the journal append pair, or of the four-lane Matérn kernel over its
-# scalar path.
+# the journal append pair, or of a four-lane kernel (Matérn map,
+# Cholesky factor, ARD distances) over its scalar path. bench.sh runs
+# each pair's two benchmarks together, ten rounds.
 bench-compare:
 	sh scripts/bench_compare.sh
 

@@ -497,8 +497,7 @@ func (g *GP) PredictInto(x []float64, s *PredictScratch) (mu, sigma float64) {
 // A zero value is ready to use; buffers grow on demand and are reused
 // across calls, making steady-state batch prediction allocation-free.
 type PredictMatrixScratch struct {
-	ks    *mat.Dense // n×m cross-kernel block K(X, Q)
-	v     *mat.Dense // n×m forward-solved L⁻¹·K(X, Q)
+	ks    *mat.Dense // n×m cross-kernel block K(X, Q), then L⁻¹·K(X, Q) in place
 	muStd []float64  // m standardized posterior means
 	self  []float64  // m prior self-variances k(q, q)
 }
@@ -525,10 +524,11 @@ func (s *PredictMatrixScratch) resize(n, m int) {
 //     evaluated with exactly the operand order PredictInto's ks loop uses;
 //   - the posterior mean is one K*ᵀ·alpha product whose per-query
 //     accumulation order matches mat.Dot (mat.MulTVecInto);
-//   - the variance term backsolves the whole block against the Cholesky
-//     factor in one pass (mat.ForwardSolveBatchInto, per-column identical
-//     to ForwardSolveInto), then accumulates Σᵢ v²ᵢ per query in ascending
-//     i — mat.Dot's order — before the same clamp and rescale.
+//   - the variance term forward-solves the whole block against the
+//     Cholesky factor in one pass, in place once the mean has read it
+//     (mat.ForwardSolveBatch, per-column identical to ForwardSolveInto),
+//     then accumulates Σᵢ v²ᵢ per query in ascending i — mat.Dot's
+//     order — before the same clamp and rescale.
 //
 // Like PredictInto it only reads the GP and is safe to call concurrently
 // with distinct scratch as long as nothing refits the model.
@@ -565,14 +565,14 @@ func (g *GP) PredictMatrix(qs []float64, dim int, mu, sigma []float64, s *Predic
 		s.self[c] = g.kernel.Eval(q, q)
 	}
 	mat.MulTVecInto(s.muStd, s.ks, g.alpha)
-	s.v = g.chol.ForwardSolveBatchInto(s.v, s.ks)
+	g.chol.ForwardSolveBatch(s.ks)
 	// sigma doubles as the Σ v² accumulator: ascending-i accumulation per
 	// column is exactly mat.Dot(v, v) on that query's solve vector.
 	for c := 0; c < m; c++ {
 		sigma[c] = 0
 	}
 	for i := 0; i < n; i++ {
-		vrow := s.v.Row(i)
+		vrow := s.ks.Row(i)
 		for c, vv := range vrow {
 			sigma[c] += vv * vv
 		}

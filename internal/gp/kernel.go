@@ -85,6 +85,17 @@ func sqDistDiff(diff, lengthscales []float64) float64 {
 	return s
 }
 
+// sameBits reports whether a and b hold the same float64 bit patterns,
+// value by value (the kernels' self-checks compare with it).
+func sameBits(a, b []float64) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // ard holds the shared state of the stationary ARD kernels below:
 // a signal variance σ² and one lengthscale per input dimension. The
 // exponentiated parameters are cached so the hot kernel-matrix loops pay
@@ -135,14 +146,20 @@ func (a *ard) appendParams(dst []float64) []float64 {
 
 // sqDistRow fills dst[c] with sqDist(x, qs[c·dim:(c+1)·dim], lens) for a
 // row-major block of queries: per query the exact subtract/divide/
-// square/accumulate sequence of sqDist, with lens hoisted once.
+// square/accumulate sequence of sqDist, with lens hoisted once. Where
+// the four-lane kernel is armed (ard_amd64.go) it fills the leading
+// blocks of four, and the loop below the rest; both give the same bits.
 func (a *ard) sqDistRow(dst, x, qs []float64) {
 	dim := len(a.lens)
 	if len(x) != dim || len(qs) != len(dst)*dim {
 		panic(fmt.Sprintf("gp: sqDistRow dims |x|=%d |qs|=%d |dst|=%d |ℓ|=%d", len(x), len(qs), len(dst), dim))
 	}
 	lens := a.lens
-	for c := range dst {
+	c := 0
+	if ardArmed {
+		c = sqDistRowLanes(dst, x, qs, lens)
+	}
+	for ; c < len(dst); c++ {
 		q := qs[c*dim : c*dim+dim]
 		var s float64
 		for k := range x {
@@ -153,14 +170,19 @@ func (a *ard) sqDistRow(dst, x, qs []float64) {
 	}
 }
 
-// sqDistBatch fills dst[c] with sqDistDiff(diffs[c·dim:(c+1)·dim], lens).
+// sqDistBatch fills dst[c] with sqDistDiff(diffs[c·dim:(c+1)·dim], lens),
+// the leading blocks of four through the armed kernel as in sqDistRow.
 func (a *ard) sqDistBatch(dst, diffs []float64) {
 	dim := len(a.lens)
 	if len(diffs) != len(dst)*dim {
 		panic(fmt.Sprintf("gp: sqDistBatch dims |diffs|=%d |dst|=%d |ℓ|=%d", len(diffs), len(dst), dim))
 	}
 	lens := a.lens
-	for c := range dst {
+	c := 0
+	if ardArmed {
+		c = sqDistDiffLanes(dst, diffs, lens)
+	}
+	for ; c < len(dst); c++ {
 		df := diffs[c*dim : c*dim+dim]
 		var s float64
 		for k, v := range df {

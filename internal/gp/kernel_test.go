@@ -136,9 +136,13 @@ func TestQuickKernelGramPSD(t *testing.T) {
 			}
 		}
 		for _, k := range allKernels(dim) {
-			gram := mat.SymmetricFrom(n, func(i, j int) float64 { return k.Eval(pts[i], pts[j]) })
-			mat.AddDiag(gram, 1e-8)
-			if _, err := mat.NewCholesky(gram); err != nil {
+			gram := mat.NewDense(n, n)
+			for i := range pts {
+				for j := range pts {
+					gram.Set(i, j, k.Eval(pts[i], pts[j]))
+				}
+			}
+			if _, err := mat.CholeskyInto(nil, gram, 1e-8); err != nil {
 				return false
 			}
 		}

@@ -1,6 +1,10 @@
 package gp
 
-import "math"
+import (
+	"math"
+
+	"mlcd/internal/cpufeat"
+)
 
 // maternLanes replaces r2[c] with the Matérn 5/2 value fromR2 maps it to
 // under signal variance sig2, four values at a time (matern_amd64.s).
@@ -14,30 +18,10 @@ import "math"
 //go:noescape
 func maternLanes(r2 []float64, sig2 float64) int
 
-func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-
-// xgetbv returns the low word of XCR0, the OS-enabled register state.
-func xgetbv() (eax uint32)
-
 // maternArmed is set once, at start-up: the kernel runs only where the
 // CPU and OS offer AVX2 and FMA and the self-check matched. Tests flip
 // it to exercise the scalar path.
-var maternArmed = haveAVX2FMA() && maternSelfCheck()
-
-func haveAVX2FMA() bool {
-	if maxID, _, _, _ := cpuid(0, 0); maxID < 7 {
-		return false
-	}
-	const fma, osxsave, avx = 1 << 12, 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&(fma|osxsave|avx) != fma|osxsave|avx {
-		return false
-	}
-	if xcr0 := xgetbv(); xcr0&6 != 6 { // XMM and YMM state
-		return false
-	}
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&(1<<5) != 0 // AVX2
-}
+var maternArmed = cpufeat.AVX2 && cpufeat.FMA && maternSelfCheck()
 
 // maternProbe is the self-check's input, every value one the kernel
 // maps itself. 0.5625, 4.6875, 6.5 and 11 map to different bits under

@@ -6,6 +6,8 @@ import (
 	"os/exec"
 	"strings"
 	"testing"
+
+	"mlcd/internal/cpufeat"
 )
 
 // TestMaternArmedWhereSupported fails when the self-check disarms the
@@ -16,7 +18,7 @@ func TestMaternArmedWhereSupported(t *testing.T) {
 	// fromR2(0.5625) at σ² = 1 has these bits on math.Exp's FMA path
 	// only (its non-FMA path gives 0x3fe59ee822963947).
 	onFMA := math.Float64bits(NewMatern52(1).fromR2(0.5625)) == 0x3fe59ee822963946
-	if haveAVX2FMA() && onFMA && !maternArmed {
+	if cpufeat.AVX2 && cpufeat.FMA && onFMA && !maternArmed {
 		t.Fatal("four-lane kernel disarmed: its self-check no longer matches fromR2")
 	}
 }
@@ -59,7 +61,7 @@ func TestMaternLanesDeclines(t *testing.T) {
 // the kernel disarmed and that batched values still equal fromR2's.
 func TestMaternDisarmedWithoutFMA(t *testing.T) {
 	if strings.Contains(os.Getenv("GODEBUG"), "cpu.fma=off") {
-		t.Logf("CPU offers AVX2 and FMA: %v", haveAVX2FMA())
+		t.Logf("CPU offers AVX2 and FMA: %v", cpufeat.AVX2 && cpufeat.FMA)
 		if maternArmed {
 			t.Fatal("four-lane kernel armed while math.Exp is off its FMA path")
 		}

@@ -36,30 +36,34 @@ func MulTVecInto(dst []float64, a *Dense, x []float64) []float64 {
 	return dst
 }
 
-// ForwardSolveBatchInto solves L·Y = B for an n×m right-hand-side block,
-// writing Y into dst (resized as needed; dst may be b itself for an
-// in-place solve). Column c of the result is bit-for-bit what
+// ForwardSolveBatch solves L·Y = B in place for an n×m right-hand-side
+// block b: Y overwrites B. Column c of the result is bit-for-bit what
 // ForwardSolveInto produces on column c of b: the row-i accumulator
 // starts at b[i][c], subtracts L[i][k]·y[k][c] for k ascending, and
-// divides by L[i][i] last.
-func (c *Cholesky) ForwardSolveBatchInto(dst, b *Dense) *Dense {
+// divides by L[i][i] last. Where the four-lane kernel is armed
+// (lanes_amd64.go) it runs four columns per instruction, each column
+// with exactly those operations.
+func (c *Cholesky) ForwardSolveBatch(b *Dense) {
 	if b.rows != c.n {
-		panic(fmt.Sprintf("mat: ForwardSolveBatchInto rows %d != order %d", b.rows, c.n))
+		panic(fmt.Sprintf("mat: ForwardSolveBatch rows %d != order %d", b.rows, c.n))
 	}
-	if dst == nil {
-		dst = NewDense(b.rows, b.cols)
-	} else if dst != b {
-		dst.Reset(b.rows, b.cols)
+	if solveArmed {
+		forwardSolveLanes(c.l.data, c.n, b.data, b.cols)
+		return
 	}
+	forwardSolveScalar(c, b)
+}
+
+// forwardSolveScalar is the loop the kernel replays: row i subtracts
+// L[i][k]·y[k] across all columns for k ascending, then divides by
+// L[i][i].
+func forwardSolveScalar(c *Cholesky, b *Dense) {
 	for i := 0; i < c.n; i++ {
-		drow := dst.Row(i)
-		if dst != b {
-			copy(drow, b.Row(i))
-		}
+		drow := b.Row(i)
 		lrow := c.l.Row(i)
 		for k := 0; k < i; k++ {
 			lik := lrow[k]
-			yrow := dst.Row(k)
+			yrow := b.Row(k)
 			for j, yv := range yrow {
 				drow[j] -= lik * yv
 			}
@@ -69,5 +73,4 @@ func (c *Cholesky) ForwardSolveBatchInto(dst, b *Dense) *Dense {
 			drow[j] /= diag
 		}
 	}
-	return dst
 }

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -69,12 +70,13 @@ func TestMulTVecIntoMatchesDotPerColumn(t *testing.T) {
 	}
 }
 
-// TestForwardSolveBatchMatchesPerColumn pins the batched L·Y = B solve
-// against ForwardSolveInto run on each column separately, bit for bit,
-// both out-of-place and aliased in place.
+// TestForwardSolveBatchMatchesPerColumn pins the batched in-place
+// L·Y = B solve against ForwardSolveInto run on each column separately,
+// bit for bit, with the four-lane kernel armed (where it is) and not.
 func TestForwardSolveBatchMatchesPerColumn(t *testing.T) {
+	armed := solveArmed
+	defer func() { solveArmed = armed }()
 	rng := rand.New(rand.NewSource(23))
-	var dst *Dense
 	for trial := 0; trial < 30; trial++ {
 		n, m := 1+rng.Intn(12), 1+rng.Intn(12)
 		chol, err := NewCholesky(randomSPD(n, rng))
@@ -90,11 +92,12 @@ func TestForwardSolveBatchMatchesPerColumn(t *testing.T) {
 				want.Set(i, j, col[i])
 			}
 		}
-		dst = chol.ForwardSolveBatchInto(dst, b)
-		sameDense(t, dst, want, "ForwardSolveBatchInto")
-		// In place: dst aliases b.
-		chol.ForwardSolveBatchInto(b, b)
-		sameDense(t, b, want, "ForwardSolveBatchInto in place")
+		for _, on := range []bool{armed, false} {
+			solveArmed = on
+			got := b.Clone()
+			chol.ForwardSolveBatch(got)
+			sameDense(t, got, want, fmt.Sprintf("ForwardSolveBatch (armed=%v)", on))
+		}
 	}
 }
 
@@ -115,7 +118,8 @@ func FuzzForwardSolveBatch(f *testing.F) {
 			t.Skip("factorization failed")
 		}
 		b := randomDense(n, m, rng)
-		got := chol.ForwardSolveBatchInto(nil, b)
+		got := b.Clone()
+		chol.ForwardSolveBatch(got)
 		col := make([]float64, n)
 		for j := 0; j < m; j++ {
 			chol.ForwardSolveInto(col, column(b, j))

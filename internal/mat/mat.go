@@ -31,17 +31,6 @@ func NewDense(r, c int) *Dense {
 	return &Dense{rows: r, cols: c, data: make([]float64, r*c)}
 }
 
-// NewDenseData wraps data (row-major, length r*c) in a Dense without copying.
-func NewDenseData(r, c int, data []float64) *Dense {
-	if len(data) != r*c {
-		panic(fmt.Sprintf("mat: data length %d != %d×%d", len(data), r, c))
-	}
-	return &Dense{rows: r, cols: c, data: data}
-}
-
-// Dims returns the row and column counts.
-func (m *Dense) Dims() (r, c int) { return m.rows, m.cols }
-
 // At returns the element at row i, column j.
 func (m *Dense) At(i, j int) float64 { return m.data[i*m.cols+j] }
 
@@ -51,16 +40,10 @@ func (m *Dense) Set(i, j int, v float64) { m.data[i*m.cols+j] = v }
 // Row returns a view of row i (mutating the slice mutates the matrix).
 func (m *Dense) Row(i int) []float64 { return m.data[i*m.cols : (i+1)*m.cols] }
 
-// Clone returns a deep copy of m.
-func (m *Dense) Clone() *Dense {
-	d := make([]float64, len(m.data))
-	copy(d, m.data)
-	return &Dense{rows: m.rows, cols: m.cols, data: d}
-}
-
-// Reset resizes m to r×c, reusing its backing array when capacity allows,
-// and zeroes every element. It is the allocation-free counterpart of
-// NewDense for scratch matrices rebuilt in hot loops.
+// Reset resizes m to r×c, reusing its backing array when capacity
+// allows. The elements' values are unspecified afterwards: it is the
+// allocation-free counterpart of NewDense for scratch matrices whose
+// callers write every element they later read.
 func (m *Dense) Reset(r, c int) {
 	if r <= 0 || c <= 0 {
 		panic(fmt.Sprintf("mat: invalid dimensions %d×%d", r, c))
@@ -70,51 +53,8 @@ func (m *Dense) Reset(r, c int) {
 		m.data = make([]float64, n)
 	} else {
 		m.data = m.data[:n]
-		for i := range m.data {
-			m.data[i] = 0
-		}
 	}
 	m.rows, m.cols = r, c
-}
-
-// Mul computes the product a·b into a new matrix.
-func Mul(a, b *Dense) *Dense {
-	if a.cols != b.rows {
-		panic(fmt.Sprintf("mat: dimension mismatch %d×%d · %d×%d", a.rows, a.cols, b.rows, b.cols))
-	}
-	out := NewDense(a.rows, b.cols)
-	for i := 0; i < a.rows; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for k := 0; k < a.cols; k++ {
-			av := arow[k]
-			if av == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j := range orow {
-				orow[j] += av * brow[j]
-			}
-		}
-	}
-	return out
-}
-
-// MulVec computes the matrix-vector product a·x.
-func MulVec(a *Dense, x []float64) []float64 {
-	if a.cols != len(x) {
-		panic(fmt.Sprintf("mat: dimension mismatch %d×%d · %d", a.rows, a.cols, len(x)))
-	}
-	out := make([]float64, a.rows)
-	for i := 0; i < a.rows; i++ {
-		row := a.Row(i)
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out
 }
 
 // Dot returns the inner product of two equal-length vectors.
@@ -135,43 +75,18 @@ type Cholesky struct {
 	l *Dense // lower triangular, including diagonal
 }
 
-// NewCholesky factors the symmetric positive-definite matrix a.
-// Only the lower triangle of a is read.
-func NewCholesky(a *Dense) (*Cholesky, error) {
-	if a.rows != a.cols {
-		panic(fmt.Sprintf("mat: Cholesky of non-square %d×%d", a.rows, a.cols))
-	}
-	n := a.rows
-	l := NewDense(n, n)
-	for j := 0; j < n; j++ {
-		d := a.At(j, j)
-		lrowj := l.Row(j)
-		for k := 0; k < j; k++ {
-			d -= lrowj[k] * lrowj[k]
-		}
-		if d <= 0 || math.IsNaN(d) {
-			return nil, ErrNotSPD
-		}
-		diag := math.Sqrt(d)
-		lrowj[j] = diag
-		for i := j + 1; i < n; i++ {
-			s := a.At(i, j)
-			lrowi := l.Row(i)
-			for k := 0; k < j; k++ {
-				s -= lrowi[k] * lrowj[k]
-			}
-			lrowi[j] = s / diag
-		}
-	}
-	return &Cholesky{n: n, l: l}, nil
-}
-
 // CholeskyInto factors a + shift·I, writing the lower-triangular factor
 // into dst's storage when dst has the same order (a zero-allocation
 // refactor); otherwise it allocates. Only the lower triangle of a is
 // read, and a itself is never mutated, so the same pristine matrix can be
-// retried under an escalating shift. The arithmetic matches NewCholesky
-// on a matrix whose diagonal already carries the shift, bit for bit.
+// retried under an escalating shift. On ErrNotSPD the contents of the
+// returned factor are unspecified.
+//
+// Where the four-lane kernel is armed (lanes_amd64.go) and the order is
+// at least cholLanesMin, the factor is right-looking and in place
+// (choleskyLanes); otherwise it is the left-looking loop (factorScalar).
+// Both give the same bits in every entry, and fail on the same inputs at
+// the same column.
 func CholeskyInto(dst *Cholesky, a *Dense, shift float64) (*Cholesky, error) {
 	if a.rows != a.cols {
 		panic(fmt.Sprintf("mat: Cholesky of non-square %d×%d", a.rows, a.cols))
@@ -180,7 +95,30 @@ func CholeskyInto(dst *Cholesky, a *Dense, shift float64) (*Cholesky, error) {
 	if dst == nil || dst.n != n {
 		dst = &Cholesky{n: n, l: NewDense(n, n)}
 	}
-	l := dst.l
+	var col int
+	if cholArmed && n >= cholLanesMin {
+		col = choleskyLanes(dst.l.data, a.data, n, shift)
+	} else {
+		col = factorScalar(dst.l, a, shift)
+	}
+	if col < n {
+		return dst, ErrNotSPD
+	}
+	return dst, nil
+}
+
+// cholLanesMin is the smallest order factored in lanes. Below it the
+// kernel's per-column set-up eats its blocks of four: over six
+// interleaved rounds at each order from 5 to 36, its median ran from 3 %
+// behind the left-looking loop to 10 % ahead at orders 5–8, with single
+// rounds behind at 6 and 7, and 27–61 % ahead from order 9 up.
+const cholLanesMin = 9
+
+// factorScalar writes the lower-triangular factor of a + shift·I into l,
+// which has a's order, column by column (left-looking). It returns the
+// order, or the column whose pivot d fails d > 0 (d ≤ 0 or NaN).
+func factorScalar(l, a *Dense, shift float64) int {
+	n := a.rows
 	for j := 0; j < n; j++ {
 		d := a.At(j, j) + shift
 		lrowj := l.Row(j)
@@ -188,7 +126,7 @@ func CholeskyInto(dst *Cholesky, a *Dense, shift float64) (*Cholesky, error) {
 			d -= lrowj[k] * lrowj[k]
 		}
 		if d <= 0 || math.IsNaN(d) {
-			return dst, ErrNotSPD
+			return j
 		}
 		diag := math.Sqrt(d)
 		lrowj[j] = diag
@@ -206,7 +144,7 @@ func CholeskyInto(dst *Cholesky, a *Dense, shift float64) (*Cholesky, error) {
 			lrowj[k] = 0
 		}
 	}
-	return dst, nil
+	return n
 }
 
 // Extend grows the factorization from order n to n+1 given the new
@@ -214,8 +152,9 @@ func CholeskyInto(dst *Cholesky, a *Dense, shift float64) (*Cholesky, error) {
 // diag holds A[n][n], both already carrying any diagonal shift the
 // original factorization used. The append costs O(n²) instead of the
 // O(n³) full refactor, and its floating-point operations replicate what
-// NewCholesky would execute for the final row — an extended factor is
-// bit-for-bit indistinguishable from a from-scratch one. On ErrNotSPD
+// the left-looking factor (factorScalar) executes for the final row — an
+// extended factor is bit-for-bit indistinguishable from a from-scratch
+// one. On ErrNotSPD
 // the receiver is left unchanged.
 func (c *Cholesky) Extend(row []float64, diag float64) error {
 	n := c.n
@@ -248,26 +187,6 @@ func (c *Cholesky) Extend(row []float64, diag float64) error {
 	return nil
 }
 
-// Size returns the order of the factored matrix.
-func (c *Cholesky) Size() int { return c.n }
-
-// L returns the lower-triangular factor (shared storage; do not mutate).
-func (c *Cholesky) L() *Dense { return c.l }
-
-// SolveVec solves A·x = b given the factorization A = L·Lᵀ.
-func (c *Cholesky) SolveVec(b []float64) []float64 {
-	if len(b) != c.n {
-		panic(fmt.Sprintf("mat: SolveVec length %d != order %d", len(b), c.n))
-	}
-	y := c.ForwardSolve(b)
-	return c.backSolve(y)
-}
-
-// ForwardSolve solves L·y = b (in a fresh slice).
-func (c *Cholesky) ForwardSolve(b []float64) []float64 {
-	return c.ForwardSolveInto(make([]float64, c.n), b)
-}
-
 // ForwardSolveInto solves L·y = b into dst, which must have length n.
 // dst may alias b: each b[i] is consumed before y[i] is written.
 func (c *Cholesky) ForwardSolveInto(dst, b []float64) []float64 {
@@ -283,11 +202,6 @@ func (c *Cholesky) ForwardSolveInto(dst, b []float64) []float64 {
 		dst[i] = s / row[i]
 	}
 	return dst
-}
-
-// backSolve solves Lᵀ·x = y.
-func (c *Cholesky) backSolve(y []float64) []float64 {
-	return c.backSolveInto(make([]float64, c.n), y)
 }
 
 // backSolveInto solves Lᵀ·x = y into dst. dst may alias y: x[i] depends
@@ -322,45 +236,13 @@ func (c *Cholesky) LogDet() float64 {
 	return 2 * s
 }
 
-// SolveMat solves A·X = B column by column.
-func (c *Cholesky) SolveMat(b *Dense) *Dense {
-	if b.rows != c.n {
-		panic(fmt.Sprintf("mat: SolveMat rows %d != order %d", b.rows, c.n))
-	}
-	out := NewDense(b.rows, b.cols)
-	col := make([]float64, b.rows)
-	for j := 0; j < b.cols; j++ {
-		for i := 0; i < b.rows; i++ {
-			col[i] = b.At(i, j)
-		}
-		x := c.SolveVec(col)
-		for i := 0; i < b.rows; i++ {
-			out.Set(i, j, x[i])
+// sameBits reports whether a and b hold the same float64 bit patterns,
+// value by value (the kernels' self-checks compare with it).
+func sameBits(a, b []float64) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
 		}
 	}
-	return out
-}
-
-// SymmetricFrom builds a symmetric matrix from a kernel function
-// k(i, j) evaluated for i ≤ j.
-func SymmetricFrom(n int, k func(i, j int) float64) *Dense {
-	m := NewDense(n, n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			v := k(i, j)
-			m.Set(i, j, v)
-			m.Set(j, i, v)
-		}
-	}
-	return m
-}
-
-// AddDiag adds v to every diagonal element of the square matrix m in place.
-func AddDiag(m *Dense, v float64) {
-	if m.rows != m.cols {
-		panic("mat: AddDiag of non-square matrix")
-	}
-	for i := 0; i < m.rows; i++ {
-		m.data[i*m.cols+i] += v
-	}
+	return true
 }

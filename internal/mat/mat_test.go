@@ -72,37 +72,6 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestMul(t *testing.T) {
-	a := NewDenseData(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	b := NewDenseData(3, 2, []float64{7, 8, 9, 10, 11, 12})
-	got := Mul(a, b)
-	want := [][]float64{{58, 64}, {139, 154}}
-	for i := range want {
-		for j := range want[i] {
-			if got.At(i, j) != want[i][j] {
-				t.Fatalf("Mul[%d][%d] = %v, want %v", i, j, got.At(i, j), want[i][j])
-			}
-		}
-	}
-}
-
-func TestMulDimensionPanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on dimension mismatch")
-		}
-	}()
-	Mul(NewDense(2, 3), NewDense(2, 3))
-}
-
-func TestMulVec(t *testing.T) {
-	a := NewDenseData(2, 3, []float64{1, 0, 2, 0, 3, 0})
-	got := MulVec(a, []float64{4, 5, 6})
-	if got[0] != 16 || got[1] != 15 {
-		t.Fatalf("MulVec = %v, want [16 15]", got)
-	}
-}
-
 func TestDot(t *testing.T) {
 	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
 		t.Fatalf("Dot = %v, want 32", got)
@@ -182,7 +151,7 @@ func TestCholeskySolveVec(t *testing.T) {
 		for i := range want {
 			want[i] = rng.NormFloat64()
 		}
-		b := MulVec(a, want)
+		b := mulVec(a, want)
 		got := ch.SolveVec(b)
 		for i := range want {
 			if !almostEq(got[i], want[i], 1e-9) {
@@ -201,31 +170,6 @@ func TestCholeskyLogDet(t *testing.T) {
 	}
 	if got, want := ch.LogDet(), math.Log(36); !almostEq(got, want, 1e-12) {
 		t.Fatalf("LogDet = %v, want %v", got, want)
-	}
-}
-
-func TestCholeskySolveMat(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	n := 5
-	a := randomSPD(n, rng)
-	ch, err := NewCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := NewDense(n, 3)
-	for i := 0; i < n; i++ {
-		for j := 0; j < 3; j++ {
-			x.Set(i, j, rng.NormFloat64())
-		}
-	}
-	b := Mul(a, x)
-	got := ch.SolveMat(b)
-	for i := 0; i < n; i++ {
-		for j := 0; j < 3; j++ {
-			if !almostEq(got.At(i, j), x.At(i, j), 1e-9) {
-				t.Fatalf("X[%d][%d] = %v, want %v", i, j, got.At(i, j), x.At(i, j))
-			}
-		}
 	}
 }
 
@@ -279,7 +223,7 @@ func TestQuickCholeskySolveInvertsMul(t *testing.T) {
 		for i := range x {
 			x[i] = rng.NormFloat64() * 10
 		}
-		got := ch.SolveVec(MulVec(a, x))
+		got := ch.SolveVec(mulVec(a, x))
 		for i := range x {
 			if !almostEq(got[i], x[i], 1e-7) {
 				return false

@@ -41,9 +41,6 @@ go test -run '^$' -bench 'BenchmarkSimulatorThroughput$' -benchtime 1s . >>"$RAW
 echo "bench.sh: fault-free resilience overhead" >&2
 go test -run '^$' -bench 'BenchmarkDeployFaultFree$' -benchtime 400x -count=3 . >>"$RAW"
 
-echo "bench.sh: journal append FS-indirection overhead pair" >&2
-go test -run '^$' -bench 'BenchmarkJournalAppend(Direct)?$' -benchtime 20000x -count=3 ./internal/sched/ >>"$RAW"
-
 echo "bench.sh: sharded plane recovery" >&2
 # Recorded but not gated: no committed record holds a row for it yet.
 go test -run '^$' -bench 'BenchmarkPlaneRecover$' -benchtime 10x -count=3 ./internal/shardplane/ >>"$RAW"
@@ -51,11 +48,26 @@ go test -run '^$' -bench 'BenchmarkPlaneRecover$' -benchtime 10x -count=3 ./inte
 echo "bench.sh: surrogate engine" >&2
 go test -run '^$' -bench 'BenchmarkSurrogateObserve' -benchtime 50x ./internal/bo/ >>"$RAW"
 go test -run '^$' -bench 'BenchmarkFitMLE$' -benchtime 20x ./internal/gp/ >>"$RAW"
-# The Matérn map over 256 values, disarmed (Scalar) and through the
-# four-lane kernel where the CPU has it (Batch): a within-record pair,
-# so bench_compare.sh gates it on one machine.
-go test -run '^$' -bench 'BenchmarkMatern(Scalar|Batch)$' -benchtime 20000x -count=3 ./internal/gp/ >>"$RAW"
 go test -run '^$' -bench 'BenchmarkNextCandidate$' -benchtime 1000x -count=3 ./internal/core/ >>"$RAW"
+
+# Within-record pairs, which bench_compare.sh gates on one machine: the
+# journal's FS indirection over a direct append, and each four-lane
+# kernel over its scalar path (the Matérn map over 256 values, a 24×24
+# Cholesky factor, the ARD distances of 300 pairs). A pair's two
+# benchmarks run in the same `go test` process, ten rounds of one run
+# each, so a slow spell on a shared machine tends to land on both sides
+# rather than on one side's consecutive samples; benchgate keeps each
+# side's minimum.
+pair() { # package, benchtime, base benchmark, candidate benchmark
+	echo "bench.sh: pair $3 / $4" >&2
+	for round in 1 2 3 4 5 6 7 8 9 10; do
+		go test -run '^$' -bench "$3\$|$4\$" -benchtime "$2" -count=1 "$1" >>"$RAW"
+	done
+}
+pair ./internal/sched/ 20000x BenchmarkJournalAppendDirect BenchmarkJournalAppend
+pair ./internal/gp/ 20000x BenchmarkMaternScalar BenchmarkMaternBatch
+pair ./internal/mat/ 20000x BenchmarkCholeskyScalar BenchmarkCholeskyLanes
+pair ./internal/gp/ 20000x BenchmarkARDScalar BenchmarkARDLanes
 
 go run ./cmd/benchgate fmt -out "$OUT" <"$RAW"
 

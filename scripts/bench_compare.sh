@@ -4,10 +4,12 @@
 # Diffs the fresh benchmark record against the committed previous one
 # and fails when BenchmarkHeterBOSearch or BenchmarkNextCandidate — the
 # two timings the flattening work is accountable for — slowed by more
-# than 10%. Two pairs are gated within the fresh record, on one
-# machine: the journal's FS indirection over a direct append, and the
-# four-lane Matérn kernel over its scalar path (it may never be
-# slower). Duplicate rows in either record collapse by min before
+# than 10%. Four pairs are gated within the fresh record, on one
+# machine: the journal's FS indirection over a direct append, and each
+# four-lane kernel over its scalar path — the Matérn map, the Cholesky
+# factor and the ARD distances (a kernel may never be slower).
+# scripts/bench.sh runs each pair's two benchmarks together in ten
+# rounds. Duplicate rows in either record collapse by min before
 # comparison (BENCH_PR4.json predates the deduplication and carries
 # three BenchmarkHeterBOSearch rows).
 #
@@ -25,4 +27,6 @@ go run ./cmd/benchgate compare -old "$OLD" -new "$NEW" \
 	-max-regress-pct 10 \
 	-pair BenchmarkJournalAppendDirect=BenchmarkJournalAppend \
 	-pair BenchmarkMaternScalar=BenchmarkMaternBatch \
+	-pair BenchmarkCholeskyScalar=BenchmarkCholeskyLanes \
+	-pair BenchmarkARDScalar=BenchmarkARDLanes \
 	-max-overhead-pct 2 -overhead-floor-ns 500
