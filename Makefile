@@ -42,8 +42,9 @@ cover-update:
 
 # conformance soaks the search end to end against the brute-force
 # oracle and the invariant engine; failures are shrunk to minimal JSON
-# reproducers under conformance-failures/. The soak runs sharded — the
-# same case partitioning the sharded control plane uses for tenants.
+# reproducers under conformance-failures/. -shards is the worker count:
+# cases run on that many workers and print in case order, so the output
+# is the same at any count.
 # The flattened acquisition loop bought a 10× case count in the same
 # CI time (~30s of compute). Correctness invariants stay
 # zero-tolerance; oracle-regret — a quality SLO on a randomized

@@ -8,12 +8,10 @@
 //
 //	conformance -cases 200 -seed 7 -shrink -out conformance-failures
 //
-// With -shards N >= 2 the case stream is partitioned across N workers
-// by the same consistent-hash ring the sharded control plane routes
-// tenants with (case name → shard), and shards soak concurrently. The
-// case set is identical for every shard count — only the partition and
-// the interleaving change — so a sharded soak checks the same ground
-// truth as a serial one.
+// -shards N soaks the cases on a pool of N workers. Each case writes its
+// output and tally into its own slot, and slots are flushed and merged
+// in case order, so stdout, stderr and the exit status are the same at
+// every worker count.
 //
 // With -regret-out the binary runs the paired regret-vs-profiling-cost
 // suite instead of the soak; with -fleet-out it runs the paired
@@ -41,12 +39,10 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 
 	"mlcd/internal/conformance"
 	"mlcd/internal/rngtape"
 	"mlcd/internal/search"
-	"mlcd/internal/shardplane"
 )
 
 // config carries the soak parameters main parses from flags.
@@ -69,7 +65,7 @@ func main() {
 	var cfg config
 	flag.IntVar(&cfg.cases, "cases", 50, "number of randomized cases to run")
 	flag.Int64Var(&cfg.seed, "seed", 1, "generator seed")
-	flag.IntVar(&cfg.shards, "shards", 1, "soak shards running concurrently (>= 2 partitions cases by consistent hash)")
+	flag.IntVar(&cfg.shards, "shards", 1, "soak workers running cases concurrently (output is the same at any count)")
 	flag.BoolVar(&cfg.shrink, "shrink", true, "shrink failing cases to minimal reproducers")
 	flag.StringVar(&cfg.out, "out", "conformance-failures", "directory for reproducer JSON files")
 	flag.BoolVar(&cfg.verbose, "v", false, "log every case, not just failures")
@@ -181,8 +177,9 @@ func fleetStudy(cfg config, stdout io.Writer) error {
 	return nil
 }
 
-// tally accumulates one soak partition's outcome. failures are hard:
-// case errors and violations of any correctness invariant.
+// tally accumulates one soak case's outcome, or the whole soak's.
+// failures are hard: case errors and violations of any correctness
+// invariant.
 // regretOutliers are cases whose only violation is the oracle-regret
 // quality bound — counted apart so the gate can budget them.
 type tally struct {
@@ -238,7 +235,7 @@ func gateFailures(hard, outliers, cases int, rate float64) int {
 // count. Split from main so the soak is testable without an exec.
 func soak(cfg config, stdout, stderr io.Writer) int {
 	// Case generation consumes the rng sequentially, so the full set is
-	// built up front — the same set regardless of shard count.
+	// built up front — the same set regardless of worker count.
 	rng := rngtape.New(cfg.seed)
 	ladder, err := parseLadder(cfg.fidelity)
 	if err != nil {
@@ -256,36 +253,39 @@ func soak(cfg config, stdout, stderr io.Writer) int {
 		}
 	}
 
+	// Workers take cases in order; the flush below waits for each slot in
+	// turn, so output streams as soon as every earlier case is done.
+	type slot struct {
+		out, err bytes.Buffer
+		tally    *tally
+		done     chan struct{}
+	}
+	slots := make([]slot, len(cases))
+	for i := range slots {
+		slots[i].tally = newTally()
+		slots[i].done = make(chan struct{})
+	}
+	next := make(chan int, len(cases))
+	for i := range cases {
+		next <- i
+	}
+	close(next)
+	for w := 0; w < max(cfg.shards, 1); w++ {
+		go func() {
+			for i := range next {
+				sl := &slots[i]
+				runCase(cases[i], cfg, sl.tally, &sl.out, &sl.err)
+				close(sl.done)
+			}
+		}()
+	}
 	total := newTally()
-	if cfg.shards <= 1 {
-		runCases(cases, cfg, total, stdout, stderr)
-	} else {
-		ring := shardplane.NewRing(cfg.shards, 0)
-		buckets := make([][]conformance.Case, cfg.shards)
-		for _, c := range cases {
-			s := ring.Shard(c.Name)
-			buckets[s] = append(buckets[s], c)
-		}
-		// Each shard soaks its partition concurrently into private
-		// buffers, flushed in shard order so output stays readable.
-		tallies := make([]*tally, cfg.shards)
-		outs := make([]bytes.Buffer, cfg.shards)
-		errs := make([]bytes.Buffer, cfg.shards)
-		var wg sync.WaitGroup
-		for s := 0; s < cfg.shards; s++ {
-			wg.Add(1)
-			tallies[s] = newTally()
-			go func(s int) {
-				defer wg.Done()
-				runCases(buckets[s], cfg, tallies[s], &outs[s], &errs[s])
-			}(s)
-		}
-		wg.Wait()
-		for s := 0; s < cfg.shards; s++ {
-			_, _ = io.Copy(stdout, &outs[s])
-			_, _ = io.Copy(stderr, &errs[s])
-			total.merge(tallies[s])
-		}
+	for i := range slots {
+		sl := &slots[i]
+		<-sl.done
+		_, _ = io.Copy(stdout, &sl.out)
+		_, _ = io.Copy(stderr, &sl.err)
+		total.merge(sl.tally)
 	}
 
 	fmt.Fprintf(stdout, "conformance: %d cases (%d chaos; s1=%d s2=%d s3=%d), %d declined, %d failures",
@@ -300,70 +300,65 @@ func soak(cfg config, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, ", regret mean=%.3f max=%.3f over %d scored picks",
 			total.regretSum/float64(total.regretN), total.regretMax, total.regretN)
 	}
-	if cfg.shards > 1 {
-		fmt.Fprintf(stdout, " [%d shards]", cfg.shards)
-	}
 	fmt.Fprintln(stdout)
 	return gateFailures(total.failures, total.regretOutliers, cfg.cases, cfg.maxOutlierRate)
 }
 
-// runCases soaks one partition of the case set into t.
-func runCases(cases []conformance.Case, cfg config, t *tally, stdout, stderr io.Writer) {
-	for _, c := range cases {
-		t.perScenario[search.Scenario(c.Scenario)]++
-		if c.Chaos != nil {
-			t.chaosCases++
-		}
-
-		art, err := conformance.RunCase(c)
-		if conformance.Declined(err) {
-			t.declined++
-			if cfg.verbose {
-				fmt.Fprintf(stdout, "decl %s: %v\n", c.Name, err)
-			}
-			continue
-		}
-		if err != nil {
-			t.failures++
-			fmt.Fprintf(stderr, "FAIL %s: %v\n", c.Name, err)
-			writeReproducer(stderr, cfg.out, c.Name, c)
-			continue
-		}
-		vs := conformance.Check(art)
-		if r, ok := art.Oracle.Regret(art.Scenario, art.UserCons, art.Report.Outcome.Best); ok {
-			t.regretSum += r
-			t.regretN++
-			if r > t.regretMax {
-				t.regretMax = r
-			}
-		}
-		if len(vs) == 0 {
-			if cfg.verbose {
-				fmt.Fprintf(stdout, "ok   %s %s job=%s types=%d chaos=%v\n",
-					c.Name, art.Scenario, c.Job, len(c.Types), c.Chaos != nil)
-			}
-			continue
-		}
-		verdict := "FAIL"
-		if regretOnly(vs) {
-			t.regretOutliers++
-			verdict = "TAIL" // regret-only: budgeted by -max-regret-outlier-rate
-		} else {
-			t.failures++
-		}
-		fmt.Fprintf(stderr, "%s %s (%d violations):\n", verdict, c.Name, len(vs))
-		for _, v := range vs {
-			fmt.Fprintf(stderr, "  %s\n", v)
-		}
-		min := c
-		if cfg.shrink {
-			res := conformance.Shrink(c, vs)
-			min = res.Case
-			fmt.Fprintf(stderr, "  shrunk to %d types / %d max nodes in %d evals\n",
-				len(min.Types), min.MaxNodes, res.Evals)
-		}
-		writeReproducer(stderr, cfg.out, c.Name, min)
+// runCase soaks one case into t.
+func runCase(c conformance.Case, cfg config, t *tally, stdout, stderr io.Writer) {
+	t.perScenario[search.Scenario(c.Scenario)]++
+	if c.Chaos != nil {
+		t.chaosCases++
 	}
+
+	art, err := conformance.RunCase(c)
+	if conformance.Declined(err) {
+		t.declined++
+		if cfg.verbose {
+			fmt.Fprintf(stdout, "decl %s: %v\n", c.Name, err)
+		}
+		return
+	}
+	if err != nil {
+		t.failures++
+		fmt.Fprintf(stderr, "FAIL %s: %v\n", c.Name, err)
+		writeReproducer(stderr, cfg.out, c.Name, c)
+		return
+	}
+	vs := conformance.Check(art)
+	if r, ok := art.Oracle.Regret(art.Scenario, art.UserCons, art.Report.Outcome.Best); ok {
+		t.regretSum += r
+		t.regretN++
+		if r > t.regretMax {
+			t.regretMax = r
+		}
+	}
+	if len(vs) == 0 {
+		if cfg.verbose {
+			fmt.Fprintf(stdout, "ok   %s %s job=%s types=%d chaos=%v\n",
+				c.Name, art.Scenario, c.Job, len(c.Types), c.Chaos != nil)
+		}
+		return
+	}
+	verdict := "FAIL"
+	if regretOnly(vs) {
+		t.regretOutliers++
+		verdict = "TAIL" // regret-only: budgeted by -max-regret-outlier-rate
+	} else {
+		t.failures++
+	}
+	fmt.Fprintf(stderr, "%s %s (%d violations):\n", verdict, c.Name, len(vs))
+	for _, v := range vs {
+		fmt.Fprintf(stderr, "  %s\n", v)
+	}
+	min := c
+	if cfg.shrink {
+		res := conformance.Shrink(c, vs)
+		min = res.Case
+		fmt.Fprintf(stderr, "  shrunk to %d types / %d max nodes in %d evals\n",
+			len(min.Types), min.MaxNodes, res.Evals)
+	}
+	writeReproducer(stderr, cfg.out, c.Name, min)
 }
 
 // writeReproducer saves a failing case under dir, creating it lazily so

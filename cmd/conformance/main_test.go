@@ -27,34 +27,26 @@ func TestSoakCleanRun(t *testing.T) {
 	}
 }
 
-// TestSoakShardedMatchesSerial: sharding the soak changes only the
-// partition, never the verdict — the same seed must report the same
-// failure count and case totals with 1 and 3 shards.
+// TestSoakShardedMatchesSerial: the worker count changes only the
+// interleaving of the work, never what the soak prints or returns — the
+// same seed must give byte-identical stdout and stderr and the same
+// failure count with 1 and 3 workers.
 func TestSoakShardedMatchesSerial(t *testing.T) {
-	var serialOut, shardedOut, stderr strings.Builder
-	serial := soak(config{cases: 12, seed: 1, shrink: true,
-		out: filepath.Join(t.TempDir(), "f1")}, &serialOut, &stderr)
-	sharded := soak(config{cases: 12, seed: 1, shards: 3, shrink: true,
-		out: filepath.Join(t.TempDir(), "f3")}, &shardedOut, &stderr)
+	out := filepath.Join(t.TempDir(), "failures")
+	var serialOut, serialErr, shardedOut, shardedErr strings.Builder
+	serial := soak(config{cases: 12, seed: 1, shrink: true, verbose: true, out: out}, &serialOut, &serialErr)
+	sharded := soak(config{cases: 12, seed: 1, shards: 3, shrink: true, verbose: true, out: out}, &shardedOut, &shardedErr)
 	if serial != sharded {
-		t.Fatalf("serial soak → %d failures, 3-shard soak → %d:\n%s", serial, sharded, stderr.String())
+		t.Fatalf("1 worker → %d failures, 3 workers → %d:\n%s", serial, sharded, shardedErr.String())
 	}
-	if !strings.Contains(shardedOut.String(), "conformance: 12 cases") ||
-		!strings.Contains(shardedOut.String(), "[3 shards]") {
-		t.Errorf("sharded summary line wrong:\n%s", shardedOut.String())
+	if !strings.Contains(shardedOut.String(), "conformance: 12 cases") {
+		t.Errorf("summary line missing:\n%s", shardedOut.String())
 	}
-	// Every per-scenario count survives the partition (the summary line
-	// embeds them; equality of the "(...)" section pins it).
-	section := func(s string) string {
-		i, j := strings.Index(s, "("), strings.Index(s, ")")
-		if i < 0 || j < i {
-			return s
-		}
-		return s[i : j+1]
+	if serialOut.String() != shardedOut.String() {
+		t.Errorf("stdout differs:\n1 worker:\n%s\n3 workers:\n%s", serialOut.String(), shardedOut.String())
 	}
-	if section(serialOut.String()) != section(shardedOut.String()) {
-		t.Errorf("scenario tallies diverge:\nserial:  %s\nsharded: %s",
-			section(serialOut.String()), section(shardedOut.String()))
+	if serialErr.String() != shardedErr.String() {
+		t.Errorf("stderr differs:\n1 worker:\n%s\n3 workers:\n%s", serialErr.String(), shardedErr.String())
 	}
 }
 
@@ -97,7 +89,7 @@ func TestRegretOutlierClassification(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "failures")
 	tl := newTally()
 	var stdout, stderr strings.Builder
-	runCases([]conformance.Case{c}, config{out: out}, tl, &stdout, &stderr)
+	runCase(c, config{out: out}, tl, &stdout, &stderr)
 	if tl.failures != 0 || tl.regretOutliers != 1 {
 		t.Fatalf("failures=%d outliers=%d, want 0/1:\n%s", tl.failures, tl.regretOutliers, stderr.String())
 	}

@@ -70,6 +70,13 @@ func (g *gpSearcher) Search(j workload.Job, space *cloud.Space, scen search.Scen
 		spentTime time.Duration
 		spentCost float64
 		profiled  = make(map[string]bool)
+
+		// The per-step sweep's candidates and their packed features,
+		// scored by one batched posterior.
+		cands   []cloud.Deployment
+		feats   []float64
+		dim     = len(cloud.Features(pool[0]))
+		scratch gp.PredictMatrixScratch
 	)
 	probe := func(d cloud.Deployment, a float64, note string) {
 		r := prof.Profile(j, d)
@@ -160,16 +167,22 @@ func (g *gpSearcher) Search(j workload.Job, space *cloud.Space, scen search.Scen
 			continue
 		}
 		bestObj := surr.BestObserved()
-		var (
-			bestD  cloud.Deployment
-			bestEI = -1.0
-		)
+		cands, feats = cands[:0], feats[:0]
 		for _, d := range pool {
 			if profiled[d.Key()] || !admissible(d) {
 				continue
 			}
-			mu, sigma := surr.Predict(d)
-			if ei := acq.Score(mu, sigma, bestObj); ei > bestEI {
+			cands = append(cands, d)
+			feats = append(feats, cloud.Features(d)...)
+		}
+		mu, sigma := make([]float64, len(cands)), make([]float64, len(cands))
+		surr.PredictMatrix(feats, dim, mu, sigma, &scratch)
+		var (
+			bestD  cloud.Deployment
+			bestEI = -1.0
+		)
+		for c, d := range cands {
+			if ei := acq.Score(mu[c], sigma[c], bestObj); ei > bestEI {
 				bestEI = ei
 				bestD = d
 			}

@@ -89,7 +89,7 @@ func TestMultiFidelityRebuildKeepsMean(t *testing.T) {
 	if !m.mixed {
 		t.Fatal("expected mixed mode after a low-fidelity observation")
 	}
-	if m.cur.Mean() == nil {
+	if m.cur.mean == nil {
 		t.Fatal("rebuild dropped the prior mean")
 	}
 	far := cloud.Deployment{Type: cloud.DefaultCatalog().Types()[0], Nodes: 4096}

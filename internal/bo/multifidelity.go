@@ -42,8 +42,8 @@ type MultiFidelitySurrogate struct {
 type GapUpdate struct {
 	// Key is the instance-type name the gap model groups by.
 	Key string
-	// LowFidelity is the fidelity of the earlier sub-sampled probe.
-	LowFidelity float64
+	// Fidelity is the fidelity of the earlier sub-sampled probe.
+	Fidelity float64
 	// Observed is the measured log-gap yFull − yLow.
 	Observed float64
 	// Predicted is what the gap model expected before seeing this pair.
@@ -155,10 +155,10 @@ func (m *MultiFidelitySurrogate) ObserveAt(d cloud.Deployment, y, f float64) (*G
 			// Promotion: the exact pair teaches the gap model, and the
 			// corrected guess is replaced by the measured truth.
 			up := &GapUpdate{
-				Key:         typeKey,
-				LowFidelity: m.fs[i],
-				Observed:    y - m.ys[i],
-				Predicted:   m.gap.Predict(typeKey, m.fs[i]),
+				Key:       typeKey,
+				Fidelity:  m.fs[i],
+				Observed:  y - m.ys[i],
+				Predicted: m.gap.Predict(typeKey, m.fs[i]),
 			}
 			up.Residual = up.Observed - up.Predicted
 			m.gap.Observe(typeKey, m.fs[i], up.Observed)
@@ -223,28 +223,3 @@ func (m *MultiFidelitySurrogate) rebuild() error {
 	m.cur = fresh
 	return nil
 }
-
-// GapStd returns the standard deviation of the gap correction applied
-// at d — nonzero only while d's latest measurement is a pending low-
-// fidelity one. The search does not add it to the posterior: its sweep
-// skips pending deployments, where GapStd alone is nonzero, and the
-// rebuilt GP conditions corrected values at its one fitted noise. It
-// remains a diagnostic of how far a correction may be off.
-func (m *MultiFidelitySurrogate) GapStd(d cloud.Deployment) float64 {
-	if i, ok := m.idxByDep[d.Key()]; ok && m.fs[i] < 1 {
-		return m.gap.Uncertainty(m.keys[i], m.fs[i])
-	}
-	return 0
-}
-
-// LowFidelity reports the pending low fidelity of d's latest
-// measurement, or false if d is unmeasured or confirmed in full.
-func (m *MultiFidelitySurrogate) LowFidelity(d cloud.Deployment) (float64, bool) {
-	if i, ok := m.idxByDep[d.Key()]; ok && m.fs[i] < 1 {
-		return m.fs[i], true
-	}
-	return 0, false
-}
-
-// Gap exposes the regressor (read-only use: diagnostics and tests).
-func (m *MultiFidelitySurrogate) Gap() *gp.GapRegressor { return m.gap }

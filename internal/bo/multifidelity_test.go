@@ -80,9 +80,18 @@ func TestMultiFidelityAllFullBitIdentical(t *testing.T) {
 	}
 }
 
+// pendingFidelity reports the low fidelity of d's latest ledger entry,
+// or false if d is unmeasured or confirmed in full.
+func pendingFidelity(m *MultiFidelitySurrogate, d cloud.Deployment) (float64, bool) {
+	if i, ok := m.idxByDep[d.Key()]; ok && m.fs[i] < 1 {
+		return m.fs[i], true
+	}
+	return 0, false
+}
+
 // TestMultiFidelityCorrection: a low reading enters gap-corrected —
 // the serving model sees yLow + β̂·(1−f), not the biased raw value —
-// and GapStd/LowFidelity flag the pending entry.
+// and the ledger flags the pending entry.
 func TestMultiFidelityCorrection(t *testing.T) {
 	m := NewMultiFidelitySurrogate(
 		NewSurrogate(gp.NewMatern52(5), rand.New(rand.NewSource(7))))
@@ -94,11 +103,8 @@ func TestMultiFidelityCorrection(t *testing.T) {
 	if up != nil {
 		t.Fatal("first low observation cannot be a promotion")
 	}
-	if f, ok := m.LowFidelity(d); !ok || f != 0.5 {
-		t.Fatalf("LowFidelity = (%v, %v), want (0.5, true)", f, ok)
-	}
-	if got, want := m.GapStd(d), gp.DefaultPriorBeta*0.5; got != want {
-		t.Fatalf("GapStd = %v, want cold uncertainty %v", got, want)
+	if f, ok := pendingFidelity(m, d); !ok || f != 0.5 {
+		t.Fatalf("pending fidelity = (%v, %v), want (0.5, true)", f, ok)
 	}
 	// Best observed reflects the corrected value, not the biased one.
 	if got, want := m.BestObserved(), 2.0+gp.DefaultPriorBeta*0.5; math.Abs(got-want) > 1e-12 {
@@ -123,7 +129,7 @@ func TestMultiFidelityPromotion(t *testing.T) {
 	if up == nil {
 		t.Fatal("full re-measurement of a pending low must promote")
 	}
-	if up.Key != "c5.xlarge" || up.LowFidelity != 0.5 {
+	if up.Key != "c5.xlarge" || up.Fidelity != 0.5 {
 		t.Fatalf("GapUpdate identity wrong: %+v", up)
 	}
 	if math.Abs(up.Observed-0.12) > 1e-12 {
@@ -135,14 +141,11 @@ func TestMultiFidelityPromotion(t *testing.T) {
 	if math.Abs(up.Residual-(up.Observed-up.Predicted)) > 1e-15 {
 		t.Fatalf("residual %v inconsistent with observed−predicted", up.Residual)
 	}
-	if m.Gap().Pairs("c5.xlarge") != 1 {
-		t.Fatal("promotion did not teach the gap model")
+	if b := m.gap.Beta("c5.xlarge"); b == gp.DefaultPriorBeta || b != up.Beta {
+		t.Fatalf("gap slope %v after promotion (update reports %v): the pair did not teach the gap model", b, up.Beta)
 	}
-	if _, ok := m.LowFidelity(d); ok {
+	if _, ok := pendingFidelity(m, d); ok {
 		t.Fatal("promoted entry still flagged low")
-	}
-	if m.GapStd(d) != 0 {
-		t.Fatal("promoted entry still carries gap uncertainty")
 	}
 	if got := m.BestObserved(); got != 2.12 {
 		t.Fatalf("BestObserved = %v, want the measured 2.12", got)
@@ -166,7 +169,7 @@ func TestMultiFidelityRefinementRules(t *testing.T) {
 	if up, err := m.ObserveAt(d, 1.0, 0.5); err != nil || up != nil {
 		t.Fatalf("low-after-full: %+v, %v", up, err)
 	}
-	if _, ok := m.LowFidelity(d); ok {
+	if _, ok := pendingFidelity(m, d); ok {
 		t.Fatal("a biased reading displaced a full measurement")
 	}
 
@@ -178,14 +181,14 @@ func TestMultiFidelityRefinementRules(t *testing.T) {
 	if _, err := m.ObserveAt(d2, 9.9, 0.25); err != nil {
 		t.Fatal(err)
 	}
-	if f, _ := m.LowFidelity(d2); f != 0.25 {
+	if f, _ := pendingFidelity(m, d2); f != 0.25 {
 		t.Fatalf("fidelity after equal re-read = %v, want 0.25", f)
 	}
 	// Strictly higher fidelity supersedes.
 	if _, err := m.ObserveAt(d2, 2.4, 0.6); err != nil {
 		t.Fatal(err)
 	}
-	if f, _ := m.LowFidelity(d2); f != 0.6 {
+	if f, _ := pendingFidelity(m, d2); f != 0.6 {
 		t.Fatalf("fidelity after refinement = %v, want 0.6", f)
 	}
 }

@@ -10,37 +10,18 @@ import (
 	"mlcd/internal/obs"
 )
 
-// nanKernel is a Matérn 5/2 kernel that returns NaN whenever either
-// argument is the poisoned feature vector, so conditioning on that point
-// fails at every jitter level.
-type nanKernel struct {
-	gp.Kernel
-	poison []float64
+// poisoned returns d on a copy of its instance type with an infinite
+// network bandwidth. Its feature vector holds +Inf, so every Matérn
+// kernel value that touches it is NaN (Inf−Inf on the diagonal, Inf·0
+// off it) and conditioning on it fails at every jitter level.
+func poisoned(d cloud.Deployment) cloud.Deployment {
+	d.Type.NetworkGbps = math.Inf(1)
+	return d
 }
 
-func newNaNKernel(poison cloud.Deployment) nanKernel {
-	return nanKernel{Kernel: gp.NewMatern52(len(cloud.Features(poison))), poison: cloud.Features(poison)}
-}
-
-func (k nanKernel) Eval(x, y []float64) float64 {
-	if sameVec(x, k.poison) || sameVec(y, k.poison) {
-		return math.NaN()
-	}
-	return k.Kernel.Eval(x, y)
-}
-
-func (k nanKernel) Clone() gp.Kernel { return nanKernel{Kernel: k.Kernel.Clone(), poison: k.poison} }
-
-func sameVec(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+// newSurrogate returns the Matérn 5/2 surrogate the tests below condition.
+func newSurrogate() *Surrogate {
+	return NewSurrogate(gp.NewMatern52(5), rand.New(rand.NewSource(1)))
 }
 
 // queryFeatures packs the features of n deployments at 7 nodes — none of
@@ -85,7 +66,8 @@ func assertSameBits(t *testing.T, got, want []uint64) {
 // posterior bit for bit, and goes on absorbing healthy observations.
 func TestObserveFailureKeepsPosterior(t *testing.T) {
 	ds := benchDeployments(6)
-	s := NewSurrogate(newNaNKernel(ds[4]), rand.New(rand.NewSource(1)))
+	ds[4] = poisoned(ds[4])
+	s := newSurrogate()
 	for i, d := range ds[:4] {
 		if err := s.Observe(d, math.Sin(float64(i))); err != nil {
 			t.Fatalf("observation %d: %v", i, err)
@@ -123,8 +105,9 @@ func TestObserveAllSkipsFailedPairs(t *testing.T) {
 		ys[i] = math.Sin(float64(i) * 0.7)
 	}
 	const bad = 3
+	ds[bad] = poisoned(ds[bad])
 	reg := obs.NewRegistry()
-	s := NewSurrogate(newNaNKernel(ds[bad]), rand.New(rand.NewSource(1)))
+	s := newSurrogate()
 	s.Perf = obs.NewPerf(reg)
 	skipped, err := s.ObserveAll(ds, ys)
 	if err != nil {
@@ -140,7 +123,7 @@ func TestObserveAllSkipsFailedPairs(t *testing.T) {
 		t.Fatalf("batch recorded %d gp_refactor_seconds samples, want 1", n)
 	}
 
-	ref := NewSurrogate(newNaNKernel(ds[bad]), rand.New(rand.NewSource(1)))
+	ref := newSurrogate()
 	keepD := append(append([]cloud.Deployment(nil), ds[:bad]...), ds[bad+1:]...)
 	keepY := append(append([]float64(nil), ys[:bad]...), ys[bad+1:]...)
 	if skipped, err := ref.ObserveAll(keepD, keepY); err != nil || len(skipped) != 0 {
@@ -164,7 +147,8 @@ func TestObserveAllSkipsFailedPairs(t *testing.T) {
 func TestMultiFidelityLedgerSkipsFailedPairs(t *testing.T) {
 	ds := benchDeployments(7)
 	const bad = 2
-	m := NewMultiFidelitySurrogate(NewSurrogate(newNaNKernel(ds[bad]), rand.New(rand.NewSource(1))))
+	ds[bad] = poisoned(ds[bad])
+	m := NewMultiFidelitySurrogate(newSurrogate())
 	ys := []float64{0.1, 0.4, 0.9, 0.3, 0.7}
 	skipped, err := m.ObserveAll(ds[:5], ys)
 	if err != nil || len(skipped) != 1 || skipped[0] != bad {

@@ -55,9 +55,6 @@ func (s *Surrogate) SetMean(m gp.Mean) {
 	}
 }
 
-// Mean returns the installed prior mean function (nil = zero mean).
-func (s *Surrogate) Mean() gp.Mean { return s.mean }
-
 // Observe adds a (deployment, objective) pair, re-conditions the GP and
 // refits the hyperparameters. When the hyperparameters are unchanged
 // since the last refit, the GP extends its Cholesky factor incrementally

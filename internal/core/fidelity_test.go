@@ -56,19 +56,19 @@ func TestPenaltyAtHandComputed(t *testing.T) {
 	}
 	for _, c := range cases {
 		timeScen := &state{scen: search.CheapestWithDeadline}
-		if got := timeScen.penaltyAt(c.d, c.f); math.Abs(got-c.wantHours) > 1e-9 {
+		if got := timeScen.penaltyFlat(c.d.Nodes, c.d.HourlyCost(), c.f); math.Abs(got-c.wantHours) > 1e-9 {
 			t.Errorf("%s: time penalty = %.9f h, want %.9f h", c.name, got, c.wantHours)
 		}
 		budgetScen := &state{scen: search.FastestWithBudget}
-		if got := budgetScen.penaltyAt(c.d, c.f); math.Abs(got-c.wantUSD) > 1e-9 {
+		if got := budgetScen.penaltyFlat(c.d.Nodes, c.d.HourlyCost(), c.f); math.Abs(got-c.wantUSD) > 1e-9 {
 			t.Errorf("%s: cost penalty = $%.9f, want $%.9f", c.name, got, c.wantUSD)
 		}
 		// At f = 1 the fidelity-adjusted penalty IS the paper's Eqs. 7–8.
 		if c.f == 1.0 {
-			if got := timeScen.penaltyAt(c.d, 1); got != profiler.Duration(c.d.Nodes).Hours() {
+			if got := timeScen.penaltyFlat(c.d.Nodes, c.d.HourlyCost(), 1); got != profiler.Duration(c.d.Nodes).Hours() {
 				t.Errorf("%s: full-fidelity time penalty diverged from Eq. 7", c.name)
 			}
-			if got := budgetScen.penaltyAt(c.d, 1); got != profiler.Cost(c.d) {
+			if got := budgetScen.penaltyFlat(c.d.Nodes, c.d.HourlyCost(), 1); got != profiler.Cost(c.d) {
 				t.Errorf("%s: full-fidelity cost penalty diverged from Eq. 8", c.name)
 			}
 		}
@@ -162,29 +162,28 @@ func TestAdmissibleAtSubSampleWidensGate(t *testing.T) {
 		},
 		spentTime: 47*time.Minute + 30*time.Second,
 	}
-	if st.admissibleAt(d, 1) {
+	gate := st.reserveGateNow()
+	if gate.admits(d.Nodes, d.HourlyCost(), 1) {
 		t.Error("full probe must starve the 60-min reserve (55.5 min headroom)")
 	}
-	if !st.admissibleAt(d, 0.5) {
+	if !gate.admits(d.Nodes, d.HourlyCost(), 0.5) {
 		t.Error("f=0.5 probe must leave exactly the 60-min reserve")
 	}
-	if !st.admissibleAt(d, 0.1) {
+	if !gate.admits(d.Nodes, d.HourlyCost(), 0.1) {
 		t.Error("f=0.1 probe must leave 63.6 min ≥ reserve")
 	}
 }
 
-// TestFidelityOptionsMenu: the offered menu is descending with full
-// first, and a pending low has no refinement menu — its only next step
-// is the confirmation sweep's full probe.
+// TestFidelityOptionsMenu: the sweep's offered menu is descending with
+// full first, and the classic search offers full probes only.
 func TestFidelityOptionsMenu(t *testing.T) {
-	d := c5xlarge4(t)
-	st := &state{opts: Options{}.withDefaults(), lowProbed: map[string]float64{}}
-	if got := st.fidelityOptions(d); len(got) != 1 || got[0] != 1 {
+	st := &state{opts: Options{}.withDefaults()}
+	if got := st.sweepMenu(); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("classic search menu = %v, want [1]", got)
 	}
 	st.opts = Options{Fidelities: []float64{0.5, 0.1, 0.3}}.withDefaults()
 	want := []float64{1, 0.5, 0.3, 0.1}
-	got := st.fidelityOptions(d)
+	got := st.sweepMenu()
 	if len(got) != len(want) {
 		t.Fatalf("menu = %v, want %v", got, want)
 	}
@@ -192,14 +191,6 @@ func TestFidelityOptionsMenu(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("menu = %v, want %v", got, want)
 		}
-	}
-	// Pending at 0.3: the screen already feeds the surrogate through
-	// the gap model, so the only remaining spend is the confirming full
-	// probe — no intermediate rungs are offered.
-	st.lowProbed[d.Key()] = 0.3
-	got = st.fidelityOptions(d)
-	if len(got) != 1 || got[0] != 1 {
-		t.Fatalf("refinement menu = %v, want [1]", got)
 	}
 }
 

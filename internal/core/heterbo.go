@@ -454,7 +454,7 @@ func (st *state) confirmPending() {
 			// scenario the best-mean pending is the biggest deployment,
 			// and anchoring on a predictably-unaffordable one starts a
 			// descending chain of full probes that devours the budget.
-			if !st.teiPositiveAt(d, 1, mu) || !st.admissibleAt(d, 1) {
+			if !st.teiPositiveAt(d, 1, mu) || !st.admissible(d) {
 				continue
 			}
 			if !found || mu > bestMu {
@@ -762,7 +762,7 @@ func (st *state) probe(d cloud.Deployment, fid, acq float64, note string) profil
 			st.emit(obs.Event{
 				Kind:        "fidelity_gap",
 				Deployment:  d.String(),
-				Fidelity:    gapUp.LowFidelity,
+				Fidelity:    gapUp.Fidelity,
 				GapResidual: gapUp.Residual,
 				Note: fmt.Sprintf("promoted %s: gap observed %.4f predicted %.4f beta[%s]=%.4f",
 					d.String(), gapUp.Observed, gapUp.Predicted, gapUp.Key, gapUp.Beta),
@@ -909,28 +909,6 @@ type candidateScore struct {
 // fullOnly is the fidelity menu of the classic search: full probes.
 var fullOnly = []float64{1}
 
-// fidelityOptions lists the fidelities d may be probed at, descending
-// (full first, so ties in score resolve toward the real measurement).
-// A deployment with a pending low-fidelity reading has exactly one
-// refinement: the confirming full probe. Intermediate rungs would
-// re-pay the screen without unlocking the pick — the screen's verdict
-// (worth confirming or not) doesn't sharpen enough to cover a second
-// sub-sampled bill.
-func (st *state) fidelityOptions(d cloud.Deployment) []float64 {
-	if len(st.opts.Fidelities) == 0 {
-		return fullOnly
-	}
-	if _, pending := st.lowProbed[d.Key()]; pending {
-		return fullOnly
-	}
-	out := make([]float64, 0, len(st.opts.Fidelities)+1)
-	out = append(out, 1)
-	for i := len(st.opts.Fidelities) - 1; i >= 0; i-- {
-		out = append(out, st.opts.Fidelities[i])
-	}
-	return out
-}
-
 // screenFid is the fidelity init anchors run at: the cheapest rung of
 // the ladder when one is armed, else full. Anchors only seed the
 // surrogate — the pick never leans on them directly — so they are the
@@ -983,10 +961,12 @@ func (st *state) ensureCand() {
 	st.cand = cs
 }
 
-// sweepMenu is the fidelity menu every pass-1 survivor shares: survivors
-// are never pending (the pending branch of fidelityOptions cannot fire),
-// so one menu — full first, then the ladder descending — serves the
-// whole sweep from the arena instead of a per-candidate allocation.
+// sweepMenu lists the fidelities a sweep may probe a candidate at,
+// descending (full first, so ties in score resolve toward the real
+// measurement). Every pass-1 survivor shares it: a pending deployment
+// is no candidate (its only refinement is the confirming full probe;
+// intermediate rungs would re-pay the screen without unlocking the
+// pick), so one menu serves the whole sweep from the arena.
 func (st *state) sweepMenu() []float64 {
 	if len(st.opts.Fidelities) == 0 {
 		return fullOnly
@@ -999,12 +979,12 @@ func (st *state) sweepMenu() []float64 {
 	return menu
 }
 
-// reserveGate is admissibleAt with its sweep-invariant parts hoisted:
-// the tightened constraint, the profiling spend, and the reserve pick
-// (one PickBest over the observations — formerly re-run per candidate
-// per fidelity) are fixed for a whole sweep, leaving only the probe's
-// own bill per call. The subtraction order matches admissibleAt's
-// left-to-right evaluation, so every admit verdict is bit-identical.
+// reserveGate is the protective reserve (§III-C) with its state
+// captured once: the tightened constraint less the profiling spend, and
+// the reserve pick's training bill (one PickBest over the observations),
+// are fixed until the next probe, so a whole sweep shares one gate and
+// only the probe's own bill varies per call. admits is the one place
+// the deadline and budget headroom is computed.
 type reserveGate struct {
 	open bool // DisableReserve or an unconstrained scenario: admit all
 	scen search.Scenario
@@ -1040,10 +1020,11 @@ func (st *state) reserveGateNow() reserveGate {
 }
 
 // admits reports whether probing a deployment of the given node count
-// and $/hour at fidelity f leaves the reserve intact — admissibleAt,
-// minus the per-call recomputation. hourly is the precomputed
-// HourlyCost() (the same PricePerHr·n multiply CostAt performed per
-// call, so the probe bill hourly·DurationAt.Hours() is bit-identical).
+// and $/hour at fidelity f leaves the reserve intact. The probe's bill
+// shrinks with f (its confirming full probe is the TEI check's concern,
+// not the reserve's — the reserve only guards the fallback already in
+// hand, and a low probe alone never erodes more than it costs). hourly
+// is HourlyCost(), so hourly·DurationAt(…).Hours() is exactly CostAt.
 func (g reserveGate) admits(nodes int, hourly, f float64) bool {
 	if g.open {
 		return true
@@ -1084,13 +1065,11 @@ func (g reserveGate) admits(nodes int, hourly, f float64) bool {
 //     floating-point operation that reaches a verdict;
 //   - pass 2 gathers the precomputed cloud.Features rows (the same bits
 //     Predict re-encodes per call) and takes ONE batched posterior,
-//     which gp.PredictMatrix guarantees bit-identical to the per-query
-//     PredictInto loop;
+//     whose per-query values gp.PredictMatrix guarantees independent of
+//     the batch (gp's tests pin it to a per-query reference posterior);
 //   - pass 3 walks survivors in space-index order applying the CI
 //     filter, TEI headroom, and strict-greater argmax in the original
-//     comparison sequence. Survivors are never pending, so GapStd — a
-//     map lookup behind a fresh Sprintf key — is identically zero and
-//     sigma is used as-is.
+//     comparison sequence.
 //
 // The selected probe, its score, and maxRawEI are therefore byte-
 // identical to the pre-flattening sweep; the conformance trace goldens
@@ -1222,23 +1201,10 @@ func (st *state) scanCandidates() (cloud.Deployment, candidateScore, bool) {
 // false when none do (every feasible candidate is then an improvement).
 func (st *state) confirmedIncumbentObjective() (float64, bool) {
 	best, found := 0.0, false
-	// Feasibility here must match the final pick's (safety-margined)
-	// judgement: an observation the pick would reject must not act as
-	// the incumbent and suppress exploration.
 	tight := st.tightened()
 	for _, o := range st.obs {
-		if o.Throughput <= 0 {
+		if o.Throughput <= 0 || st.exceedsTightened(tight, o.Deployment, o.Throughput) {
 			continue
-		}
-		switch st.scen {
-		case search.CheapestWithDeadline:
-			if st.spentTime+search.EstTrainTime(st.job, o.Throughput) > tight.Deadline {
-				continue
-			}
-		case search.FastestWithBudget:
-			if st.spentCost+search.EstTrainCost(st.job, o.Deployment, o.Throughput) > tight.Budget {
-				continue
-			}
 		}
 		if v := math.Log(search.Objective(st.scen, o.Deployment, o.Throughput)); !found || v > best {
 			best, found = v, true
@@ -1275,15 +1241,8 @@ func (st *state) feasibleIncumbentObjective() (float64, bool) {
 			if st.scen == search.CheapestWithDeadline {
 				thr *= d.HourlyCost()
 			}
-			switch st.scen {
-			case search.CheapestWithDeadline:
-				if st.spentTime+search.EstTrainTime(st.job, thr) > tight.Deadline {
-					continue
-				}
-			case search.FastestWithBudget:
-				if st.spentCost+search.EstTrainCost(st.job, d, thr) > tight.Budget {
-					continue
-				}
+			if st.exceedsTightened(tight, d, thr) {
+				continue
 			}
 			if !found || mu > best {
 				best, found = mu, true
@@ -1291,6 +1250,22 @@ func (st *state) feasibleIncumbentObjective() (float64, bool) {
 		}
 	}
 	return best, found
+}
+
+// exceedsTightened reports whether training d at throughput thr after
+// the profiling spend so far would break the tightened constraint: the
+// final pick's safety-margined feasibility, which an incumbent must
+// share so that an observation the pick would reject does not suppress
+// exploration.
+func (st *state) exceedsTightened(tight search.Constraints, d cloud.Deployment, thr float64) bool {
+	switch st.scen {
+	case search.CheapestWithDeadline:
+		return st.spentTime+search.EstTrainTime(st.job, thr) > tight.Deadline
+	case search.FastestWithBudget:
+		return st.spentCost+search.EstTrainCost(st.job, d, thr) > tight.Budget
+	default:
+		return false
+	}
 }
 
 // teiPositiveAt evaluates the True Expected Improvement headroom of
@@ -1324,17 +1299,11 @@ func (st *state) teiPositiveAt(d cloud.Deployment, f, optimisticLogObj float64) 
 	}
 }
 
-// penaltyAt is the heterogeneous exploration cost of probing d at
-// fidelity f (Eqs. 7–8 scaled by the sub-sample): profiling time for
-// the time-constrained scenarios, profiling dollars when a monetary
-// budget rules.
-func (st *state) penaltyAt(d cloud.Deployment, f float64) float64 {
-	return st.penaltyFlat(d.Nodes, d.HourlyCost(), f)
-}
-
-// penaltyFlat is penaltyAt on the flat columns: CostAt(d, f) expands to
-// HourlyCost()·DurationAt(...).Hours(), so the precomputed hourly rate
-// reproduces it multiply for multiply.
+// penaltyFlat is the heterogeneous exploration cost of probing a
+// deployment of the given node count and $/hour at fidelity f (Eqs. 7–8
+// scaled by the sub-sample): profiling time for the time-constrained
+// scenarios, profiling dollars when a monetary budget rules. hourly is
+// HourlyCost(), so the budget penalty is exactly CostAt.
 func (st *state) penaltyFlat(nodes int, hourly, f float64) float64 {
 	switch st.scen {
 	case search.FastestWithBudget:
@@ -1374,47 +1343,7 @@ func (st *state) pruned(d cloud.Deployment) bool {
 // once a constraint-satisfying fallback exists — before that, exploring
 // is the only route to feasibility and only the probe itself must fit.
 func (st *state) admissible(d cloud.Deployment) bool {
-	return st.admissibleAt(d, 1)
-}
-
-// admissibleCheapest applies the reserve at the cheapest fidelity the
-// search may offer d — the widest gate a candidate can pass through.
-func (st *state) admissibleCheapest(d cloud.Deployment) bool {
-	opts := st.fidelityOptions(d)
-	return st.admissibleAt(d, opts[len(opts)-1])
-}
-
-// admissibleAt is admissible priced at fidelity f: the probe's bill
-// shrinks with f (its confirming full probe is the TEI check's concern,
-// not the reserve's — the reserve only guards the fallback already in
-// hand, and a low probe alone never erodes more than it costs).
-func (st *state) admissibleAt(d cloud.Deployment, f float64) bool {
-	if st.opts.DisableReserve {
-		return true
-	}
-	tight := st.tightened()
-	switch st.scen {
-	case search.CheapestWithDeadline:
-		headroom := tight.Deadline - st.spentTime - profiler.DurationAt(d.Nodes, f)
-		if headroom <= 0 {
-			return false
-		}
-		if t, ok := st.reserveTrainTime(); ok && headroom < t {
-			return false
-		}
-		return true
-	case search.FastestWithBudget:
-		headroom := tight.Budget - st.spentCost - profiler.CostAt(d, f)
-		if headroom <= 0 {
-			return false
-		}
-		if c, ok := st.reserveTrainCost(); ok && headroom < c {
-			return false
-		}
-		return true
-	default:
-		return true
-	}
+	return st.reserveGateNow().admits(d.Nodes, d.HourlyCost(), 1)
 }
 
 // reservePick returns the deployment the search would commit to if it

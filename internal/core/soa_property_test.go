@@ -63,8 +63,10 @@ func refFeasibleIncumbentObjective(st *state) (float64, bool) {
 // refNextCandidate is the acquisition sweep before the SoA flattening:
 // per-candidate map keys in pass 1, a per-candidate Predict in pass 2,
 // and per-candidate fidelityOptions/admissibleAt (each re-running the
-// reserve pick) in pass 3. Everything it calls still exists in
-// production — only the sweep's geometry changed.
+// reserve pick) in pass 3. The per-candidate helpers the flat sweep
+// replaced live below it, so the reference shares with production only
+// the search state and the scoring primitives (the confirmed incumbent,
+// the prune filter, TEI, EI), not the code under test.
 func refNextCandidate(st *state) (cloud.Deployment, candidateScore, bool) {
 	if st.surr.Len() == 0 {
 		return cloud.Deployment{}, candidateScore{}, false
@@ -98,7 +100,7 @@ func refNextCandidate(st *state) (cloud.Deployment, candidateScore, bool) {
 		found     bool
 	)
 	for i, d := range cands {
-		sig := sigma[i] + st.surr.GapStd(d)
+		sig := sigma[i]
 		optimistic := mu[i] + confidenceZ*sig
 		if optimistic <= bestObj {
 			continue
@@ -137,6 +139,81 @@ func refNextCandidate(st *state) (cloud.Deployment, candidateScore, bool) {
 		}
 	}
 	return best, bestScore, found
+}
+
+// fidelityOptions lists the fidelities d may be probed at, descending
+// (full first, so ties in score resolve toward the real measurement).
+// A deployment with a pending low-fidelity reading has exactly one
+// refinement: the confirming full probe. Intermediate rungs would
+// re-pay the screen without unlocking the pick — the screen's verdict
+// (worth confirming or not) doesn't sharpen enough to cover a second
+// sub-sampled bill.
+func (st *state) fidelityOptions(d cloud.Deployment) []float64 {
+	if len(st.opts.Fidelities) == 0 {
+		return fullOnly
+	}
+	if _, pending := st.lowProbed[d.Key()]; pending {
+		return fullOnly
+	}
+	out := make([]float64, 0, len(st.opts.Fidelities)+1)
+	out = append(out, 1)
+	for i := len(st.opts.Fidelities) - 1; i >= 0; i-- {
+		out = append(out, st.opts.Fidelities[i])
+	}
+	return out
+}
+
+// admissibleCheapest applies the reserve at the cheapest fidelity the
+// search may offer d — the widest gate a candidate can pass through.
+func (st *state) admissibleCheapest(d cloud.Deployment) bool {
+	opts := st.fidelityOptions(d)
+	return st.admissibleAt(d, opts[len(opts)-1])
+}
+
+// admissibleAt is admissible priced at fidelity f: the probe's bill
+// shrinks with f (its confirming full probe is the TEI check's concern,
+// not the reserve's — the reserve only guards the fallback already in
+// hand, and a low probe alone never erodes more than it costs).
+func (st *state) admissibleAt(d cloud.Deployment, f float64) bool {
+	if st.opts.DisableReserve {
+		return true
+	}
+	tight := st.tightened()
+	switch st.scen {
+	case search.CheapestWithDeadline:
+		headroom := tight.Deadline - st.spentTime - profiler.DurationAt(d.Nodes, f)
+		if headroom <= 0 {
+			return false
+		}
+		if t, ok := st.reserveTrainTime(); ok && headroom < t {
+			return false
+		}
+		return true
+	case search.FastestWithBudget:
+		headroom := tight.Budget - st.spentCost - profiler.CostAt(d, f)
+		if headroom <= 0 {
+			return false
+		}
+		if c, ok := st.reserveTrainCost(); ok && headroom < c {
+			return false
+		}
+		return true
+	default:
+		return true
+	}
+}
+
+// penaltyAt is the heterogeneous exploration cost of probing d at
+// fidelity f (Eqs. 7–8 scaled by the sub-sample): profiling time for
+// the time-constrained scenarios, profiling dollars when a monetary
+// budget rules.
+func (st *state) penaltyAt(d cloud.Deployment, f float64) float64 {
+	switch st.scen {
+	case search.FastestWithBudget:
+		return profiler.CostAt(d, f)
+	default:
+		return profiler.DurationAt(d.Nodes, f).Hours()
+	}
 }
 
 // flakyProfiler injects deterministic infrastructure failures so the

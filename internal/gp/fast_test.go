@@ -8,8 +8,8 @@ import (
 
 // fastKernels returns one of each stationary kernel family with randomized
 // hyperparameters inside its search box.
-func fastKernels(dim int, rng *rand.Rand) []batchStationary {
-	ks := []batchStationary{NewSE(dim), NewMatern52(dim)}
+func fastKernels(dim int, rng *rand.Rand) []Kernel {
+	ks := []Kernel{NewSE(dim), NewMatern52(dim)}
 	for _, k := range ks {
 		b := k.ParamBounds()
 		p := make([]float64, len(b.Lo))
@@ -136,7 +136,7 @@ func TestFitMLESerialParallelIdentical(t *testing.T) {
 		a, rngA := fit(1)
 		b, rngB := fit(procs)
 
-		pa, pb := a.Kernel().Params(), b.Kernel().Params()
+		pa, pb := a.kernel.Params(), b.kernel.Params()
 		for i := range pa {
 			if pa[i] != pb[i] {
 				t.Fatalf("GOMAXPROCS=%d: param %d: serial %v, parallel %v", procs, i, pa[i], pb[i])
@@ -156,85 +156,6 @@ func TestFitMLESerialParallelIdentical(t *testing.T) {
 		if ma != mb || sa != sb {
 			t.Fatalf("GOMAXPROCS=%d: posterior (%v,%v) != (%v,%v)", procs, ma, sa, mb, sb)
 		}
-	}
-}
-
-// plainKernel hides a built-in kernel's batch and EvalDiff methods, so a
-// GP over it takes the generic path a custom Kernel would.
-type plainKernel struct{ Kernel }
-
-func (k plainKernel) Clone() Kernel { return plainKernel{k.Kernel.Clone()} }
-
-// TestGenericKernelPathMatchesBatch pins the generic kernel path (kernel
-// matrix from Eval, Cholesky extension from Eval, no difference cache)
-// against the batched one bit for bit: growing fits, a hyperparameter
-// fit, and batched prediction.
-func TestGenericKernelPathMatchesBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(30))
-	for trial := 0; trial < 10; trial++ {
-		dim := 1 + rng.Intn(4)
-		n := 3 + rng.Intn(10)
-		batch := New(NewMatern52(dim), 1e-4)
-		plain := New(plainKernel{NewMatern52(dim)}, 1e-4)
-		if plain.batchk != nil {
-			t.Fatal("plainKernel still exposes the batch path")
-		}
-		var xs [][]float64
-		var ys []float64
-		for i := 0; i < n; i++ {
-			x := make([]float64, dim)
-			for d := range x {
-				x[d] = rng.NormFloat64() * 2
-			}
-			xs = append(xs, x)
-			ys = append(ys, rng.NormFloat64())
-			if err := batch.Fit(xs, ys); err != nil {
-				t.Fatal(err)
-			}
-			if err := plain.Fit(xs, ys); err != nil {
-				t.Fatal(err)
-			}
-		}
-		seed := rng.Int63()
-		if err := batch.FitMLE(rand.New(rand.NewSource(seed))); err != nil {
-			t.Fatal(err)
-		}
-		if err := plain.FitMLE(rand.New(rand.NewSource(seed))); err != nil {
-			t.Fatal(err)
-		}
-		if lb, lp := batch.LogMarginalLikelihood(), plain.LogMarginalLikelihood(); lb != lp {
-			t.Fatalf("trial %d: LML batch %v, generic %v", trial, lb, lp)
-		}
-		qs := make([]float64, 7*dim)
-		for i := range qs {
-			qs[i] = rng.NormFloat64() * 3
-		}
-		var sb, sp PredictMatrixScratch
-		mb, sgb := make([]float64, 7), make([]float64, 7)
-		mp, sgp := make([]float64, 7), make([]float64, 7)
-		batch.PredictMatrix(qs, dim, mb, sgb, &sb)
-		plain.PredictMatrix(qs, dim, mp, sgp, &sp)
-		for c := range mb {
-			if mb[c] != mp[c] || sgb[c] != sgp[c] {
-				t.Fatalf("trial %d: query %d: batch (%v,%v), generic (%v,%v)", trial, c, mb[c], sgb[c], mp[c], sgp[c])
-			}
-		}
-	}
-}
-
-// TestPredictIntoZeroAlloc pins the zero-allocation contract of the hot
-// candidate-scoring path.
-func TestPredictIntoZeroAlloc(t *testing.T) {
-	rng := rand.New(rand.NewSource(25))
-	g := fitRandom(t, NewMatern52(4), 20, 4, rng)
-	q := []float64{0.1, -0.4, 1.2, 0.7}
-	var s PredictScratch
-	g.PredictInto(q, &s) // warm the scratch
-	allocs := testing.AllocsPerRun(100, func() {
-		g.PredictInto(q, &s)
-	})
-	if allocs != 0 {
-		t.Fatalf("PredictInto allocates %v per call, want 0", allocs)
 	}
 }
 
@@ -341,9 +262,9 @@ func TestPredictMatrixMatchesPredictInto(t *testing.T) {
 	}
 }
 
-// TestPredictMatrixZeroAlloc extends the PredictInto zero-alloc pin to
-// the batch path: with warmed scratch, a steady-state PredictMatrix
-// sweep performs zero allocations.
+// TestPredictMatrixZeroAlloc pins the zero-allocation contract of the
+// hot candidate-scoring path: with warmed scratch, a steady-state
+// PredictMatrix sweep performs zero allocations.
 func TestPredictMatrixZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	g := fitRandom(t, NewMatern52(4), 20, 4, rng)

@@ -1,7 +1,5 @@
 package gp
 
-import "math"
-
 // GapRegressor learns the low→full fidelity gap of sub-sampled probes.
 // A short-burst measurement at fidelity f reads the log-objective low by
 // an amount that is — by construction in the simulator, and empirically
@@ -16,20 +14,18 @@ import "math"
 // toward the global slope across all keys, which itself shrinks toward
 // a prior — so corrections are sane from the very first low probe.
 type GapRegressor struct {
-	// PriorBeta anchors every estimate before data arrives: the typical
-	// log-gap of a zero-length burst (DefaultPriorBeta matches the
-	// simulator's average γ).
-	PriorBeta float64
-	// PriorWeight is the prior's strength in pseudo-pairs at x = 1−f = 1.
-	PriorWeight float64
-
 	byKey  map[string]*gapFit
 	global gapFit
 }
 
-// DefaultPriorBeta is the prior slope: short bursts typically read
-// ~18 % low over the full fidelity range.
-const DefaultPriorBeta = 0.18
+const (
+	// DefaultPriorBeta anchors every estimate before data arrives: the
+	// typical log-gap of a zero-length burst. Short bursts typically read
+	// ~18 % low over the full fidelity range, the simulator's average γ.
+	DefaultPriorBeta = 0.18
+	// priorWeight is the prior's strength in pseudo-pairs at x = 1−f = 1.
+	priorWeight = 1.0
+)
 
 // gapFit accumulates least-squares sufficient statistics for one
 // through-the-origin line gap = β·x, x = 1−f.
@@ -40,7 +36,7 @@ type gapFit struct {
 
 // NewGapRegressor returns a regressor anchored at DefaultPriorBeta.
 func NewGapRegressor() *GapRegressor {
-	return &GapRegressor{PriorBeta: DefaultPriorBeta, PriorWeight: 1, byKey: make(map[string]*gapFit)}
+	return &GapRegressor{byKey: make(map[string]*gapFit)}
 }
 
 // Observe records one measured pair: the same point's log-objective at
@@ -65,9 +61,9 @@ func (g *GapRegressor) Observe(key string, f, gapLog float64) {
 
 // Beta returns the estimated gap slope for key: the per-key least-
 // squares slope shrunk (one pseudo-pair) toward the global slope, which
-// is itself shrunk (PriorWeight pseudo-pairs) toward PriorBeta.
+// is itself shrunk (priorWeight pseudo-pairs) toward DefaultPriorBeta.
 func (g *GapRegressor) Beta(key string) float64 {
-	globalBeta := (g.global.sxy + g.PriorWeight*g.PriorBeta) / (g.global.sxx + g.PriorWeight)
+	globalBeta := (g.global.sxy + priorWeight*DefaultPriorBeta) / (g.global.sxx + priorWeight)
 	fit := g.byKey[key]
 	if fit == nil {
 		return globalBeta
@@ -88,27 +84,4 @@ func (g *GapRegressor) Predict(key string, f float64) float64 {
 // full-fidelity value.
 func (g *GapRegressor) Correct(key string, f, yLow float64) float64 {
 	return yLow + g.Predict(key, f)
-}
-
-// Uncertainty is a heuristic standard deviation of the gap correction
-// at fidelity f: the prior slope scale, shrunk by the pairs the key has
-// already taught. It is a diagnostic (bo's GapStd): the search neither
-// inflates the posterior by it nor conditions corrected values at it.
-func (g *GapRegressor) Uncertainty(key string, f float64) float64 {
-	if f >= 1 {
-		return 0
-	}
-	n := 0
-	if fit := g.byKey[key]; fit != nil {
-		n = fit.n
-	}
-	return g.PriorBeta * (1 - f) / math.Sqrt(float64(1+n))
-}
-
-// Pairs reports how many promotion pairs key has contributed.
-func (g *GapRegressor) Pairs(key string) int {
-	if fit := g.byKey[key]; fit != nil {
-		return fit.n
-	}
-	return 0
 }

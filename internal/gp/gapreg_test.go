@@ -9,9 +9,6 @@ import (
 // predicts from the prior slope alone.
 func TestGapRegressorPriorBeforeData(t *testing.T) {
 	g := NewGapRegressor()
-	if g.PriorBeta != DefaultPriorBeta {
-		t.Fatalf("prior slope = %v, want %v", g.PriorBeta, DefaultPriorBeta)
-	}
 	if got, want := g.Beta("p3.2xlarge"), DefaultPriorBeta; got != want {
 		t.Fatalf("cold Beta = %v, want prior %v", got, want)
 	}
@@ -21,8 +18,8 @@ func TestGapRegressorPriorBeforeData(t *testing.T) {
 	if got := g.Predict("p3.2xlarge", 1); got != 0 {
 		t.Fatalf("full fidelity predicts gap %v, want 0", got)
 	}
-	if g.Pairs("p3.2xlarge") != 0 {
-		t.Fatal("cold regressor reports pairs")
+	if g.byKey["p3.2xlarge"] != nil {
+		t.Fatal("cold regressor holds a fit")
 	}
 }
 
@@ -45,8 +42,8 @@ func TestGapRegressorExactRecovery(t *testing.T) {
 	if got := g.Correct("c5.xlarge", f, yLow); math.Abs(got-yFull) > 0.002 {
 		t.Fatalf("Correct = %v, want ≈ %v", got, yFull)
 	}
-	if g.Pairs("c5.xlarge") != 400 {
-		t.Fatalf("pairs = %d, want 400", g.Pairs("c5.xlarge"))
+	if fit := g.byKey["c5.xlarge"]; fit == nil || fit.n != 400 {
+		t.Fatalf("fit = %+v, want 400 pairs", fit)
 	}
 }
 
@@ -78,31 +75,7 @@ func TestGapRegressorShrinkage(t *testing.T) {
 // globalBetaForTest exposes the shrunk global slope (same formula Beta
 // uses for unseen keys).
 func (g *GapRegressor) globalBetaForTest() float64 {
-	return (g.global.sxy + g.PriorWeight*g.PriorBeta) / (g.global.sxx + g.PriorWeight)
-}
-
-// TestGapRegressorUncertaintyShrinks: the correction's uncertainty is
-// zero at full fidelity, scales with (1−f), and decays as the key
-// accumulates pairs.
-func TestGapRegressorUncertaintyShrinks(t *testing.T) {
-	g := NewGapRegressor()
-	if got := g.Uncertainty("k", 1); got != 0 {
-		t.Fatalf("Uncertainty at f=1 is %v, want 0", got)
-	}
-	u0 := g.Uncertainty("k", 0.5)
-	if want := 0.18 * 0.5; u0 != want {
-		t.Fatalf("cold Uncertainty(0.5) = %v, want %v", u0, want)
-	}
-	for i := 0; i < 3; i++ {
-		g.Observe("k", 0.5, 0.09)
-	}
-	u3 := g.Uncertainty("k", 0.5)
-	if want := 0.18 * 0.5 / 2; u3 != want { // √(1+3) = 2
-		t.Fatalf("Uncertainty after 3 pairs = %v, want %v", u3, want)
-	}
-	if u3 >= u0 {
-		t.Fatal("uncertainty did not shrink with data")
-	}
+	return (g.global.sxy + priorWeight*DefaultPriorBeta) / (g.global.sxx + priorWeight)
 }
 
 // TestGapRegressorIgnoresFullPairs: x = 1−f ≤ 0 carries no slope
@@ -111,8 +84,8 @@ func TestGapRegressorIgnoresFullPairs(t *testing.T) {
 	g := NewGapRegressor()
 	g.Observe("k", 1.0, 0.5)
 	g.Observe("k", 1.5, -0.5)
-	if g.Pairs("k") != 0 {
-		t.Fatalf("full-fidelity observations counted as pairs: %d", g.Pairs("k"))
+	if g.byKey["k"] != nil || g.global.n != 0 {
+		t.Fatalf("full-fidelity observations counted as pairs: %+v", g.global)
 	}
 	if got := g.Beta("k"); got != 0.18 {
 		t.Fatalf("β moved to %v on zero-information pairs", got)

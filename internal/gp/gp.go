@@ -33,8 +33,8 @@ type Mean interface {
 // The regressor keeps three pieces of derived state to make refitting
 // cheap without changing any numerical result:
 //
-//   - a pairwise-difference cache for the built-in stationary kernels
-//     (SE, Matérn 5/2), so kernel-matrix rebuilds during FitMLE are pure
+//   - a pairwise-difference cache that serves every kernel evaluation of
+//     the fit, so kernel-matrix rebuilds during FitMLE are pure
 //     O(n²·dim) flops with no feature-vector traversals;
 //   - scratch buffers (kernel matrix, double-buffered Cholesky, alpha) so
 //     the refit loop allocates nothing after warm-up;
@@ -44,8 +44,7 @@ type Mean interface {
 //     refactoring in O(n³).
 type GP struct {
 	kernel   Kernel
-	batchk   batchStationary // non-nil iff kernel supports row-batched evaluation (diff-cache path)
-	logNoise float64         // log of the noise *variance* in standardized units
+	logNoise float64 // log of the noise *variance* in standardized units
 
 	x      [][]float64
 	y      []float64 // raw targets
@@ -64,7 +63,7 @@ type GP struct {
 	chol  *mat.Cholesky
 	alpha []float64 // K⁻¹ y (standardized)
 
-	diffs    diffCache     // raw pairwise differences (batch kernels only)
+	diffs    diffCache     // raw pairwise differences
 	kmat     *mat.Dense    // scratch: kernel matrix without the noise diagonal
 	spare    *mat.Cholesky // double buffer: CholeskyInto target, swapped with chol
 	rowBuf   []float64     // scratch: bordering row for Cholesky.Extend
@@ -82,19 +81,11 @@ func New(k Kernel, noise float64) *GP {
 	if noise <= 0 {
 		noise = 1e-6
 	}
-	g := &GP{kernel: k, logNoise: math.Log(noise), factorN: -1}
-	g.batchk, _ = k.(batchStationary)
-	return g
+	return &GP{kernel: k, logNoise: math.Log(noise), factorN: -1}
 }
-
-// Kernel returns the GP's kernel (shared, not a copy).
-func (g *GP) Kernel() Kernel { return g.kernel }
 
 // Noise returns the observation-noise variance in standardized units.
 func (g *GP) Noise() float64 { return math.Exp(g.logNoise) }
-
-// N returns the number of fitted observations.
-func (g *GP) N() int { return len(g.y) }
 
 // SetMean installs a prior mean function (nil restores the zero mean).
 // If the GP already holds observations, the residual targets and alpha
@@ -192,9 +183,7 @@ func (g *GP) Fit(x [][]float64, y []float64) error {
 		g.paramsUnchanged() && samePrefix(x, g.x)
 	oldX, oldY, oldN := g.x, g.y, g.factorN
 	g.x, g.y = x, y
-	if g.batchk != nil {
-		g.diffs.sync(x)
-	}
+	g.diffs.sync(x)
 	g.standardize()
 	if extendable && g.tryExtend() {
 		g.factorN = len(x)
@@ -205,9 +194,7 @@ func (g *GP) Fit(x [][]float64, y []float64) error {
 		// A failed refactor leaves the live factor and alpha intact, so
 		// only the data-derived state needs rolling back.
 		g.x, g.y = oldX, oldY
-		if g.batchk != nil {
-			g.diffs.sync(oldX)
-		}
+		g.diffs.sync(oldX)
 		if len(oldY) > 0 {
 			g.standardize()
 		}
@@ -227,16 +214,10 @@ func samePrefix(x, old [][]float64) bool {
 	return true
 }
 
-// currentParams appends the kernel hyperparameters plus logNoise to dst.
-// Batch-capable kernels append in place; the generic path pays one
-// Params() allocation.
+// currentParams appends the kernel hyperparameters plus logNoise to dst,
+// in place.
 func (g *GP) currentParams(dst []float64) []float64 {
-	if g.batchk != nil {
-		dst = g.batchk.appendParams(dst)
-	} else {
-		dst = append(dst, g.kernel.Params()...)
-	}
-	return append(dst, g.logNoise)
+	return append(g.kernel.appendParams(dst), g.logNoise)
 }
 
 // paramsUnchanged reports whether the kernel hyperparameters and noise
@@ -280,19 +261,11 @@ func (g *GP) tryExtend() bool {
 		g.rowBuf = make([]float64, m)
 	}
 	row := g.rowBuf[:m]
-	var diag float64
-	if g.batchk != nil {
-		// Pairs (m, 0..m-1) are contiguous in the difference cache's
-		// triangle, so the whole bordering row is one batched call.
-		off := m * (m + 1) / 2 * g.diffs.dim
-		g.batchk.evalDiffBatch(row, g.diffs.data[off:off+m*g.diffs.dim])
-		diag = g.batchk.EvalDiff(g.diffs.pair(m, m))
-	} else {
-		for j := 0; j < m; j++ {
-			row[j] = g.kernel.Eval(g.x[j], g.x[m])
-		}
-		diag = g.kernel.Eval(g.x[m], g.x[m])
-	}
+	// Pairs (m, 0..m-1) are contiguous in the difference cache's
+	// triangle, so the whole bordering row is one batched call.
+	off := m * (m + 1) / 2 * g.diffs.dim
+	g.kernel.evalDiffBatch(row, g.diffs.data[off:off+m*g.diffs.dim])
+	diag := g.kernel.EvalDiff(g.diffs.pair(m, m))
 	return g.chol.Extend(row, diag+g.factorJitter) == nil
 }
 
@@ -366,37 +339,27 @@ func (g *GP) standardizeResiduals() {
 }
 
 // buildK fills the kmat scratch with the kernel matrix (no noise on the
-// diagonal). Batch kernels evaluate from the difference cache and only
-// fill the lower triangle, which is all the factorization reads.
+// diagonal), evaluated from the difference cache. Only the lower
+// triangle is filled, which is all the factorization reads.
 func (g *GP) buildK(n int) {
 	if g.kmat == nil {
 		g.kmat = mat.NewDense(n, n)
 	} else {
 		g.kmat.Reset(n, n)
 	}
-	if g.batchk != nil {
-		// The difference cache is the whole lower triangle, row after
-		// row, so one devirtualized call evaluates it (the Matérn
-		// kernel's lanes then leave at most three values to its scalar
-		// tail per rebuild), and row i's pairs (i, 0..i) are copied out.
-		tri := n * (n + 1) / 2
-		if cap(g.triBuf) < tri {
-			g.triBuf = make([]float64, tri)
-		}
-		g.triBuf = g.triBuf[:tri]
-		g.batchk.evalDiffBatch(g.triBuf, g.diffs.data[:tri*g.diffs.dim])
-		for i := 0; i < n; i++ {
-			off := i * (i + 1) / 2
-			copy(g.kmat.Row(i)[:i+1], g.triBuf[off:off+i+1])
-		}
-		return
+	// The difference cache is the whole lower triangle, row after row, so
+	// one devirtualized call evaluates it (the Matérn kernel's lanes then
+	// leave at most three values to its scalar tail per rebuild), and row
+	// i's pairs (i, 0..i) are copied out.
+	tri := n * (n + 1) / 2
+	if cap(g.triBuf) < tri {
+		g.triBuf = make([]float64, tri)
 	}
+	g.triBuf = g.triBuf[:tri]
+	g.kernel.evalDiffBatch(g.triBuf, g.diffs.data[:tri*g.diffs.dim])
 	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			v := g.kernel.Eval(g.x[i], g.x[j])
-			g.kmat.Set(i, j, v)
-			g.kmat.Set(j, i, v)
-		}
+		off := i * (i + 1) / 2
+		copy(g.kmat.Row(i)[:i+1], g.triBuf[off:off+i+1])
 	}
 }
 
@@ -435,74 +398,17 @@ func (g *GP) solveAlpha() {
 	g.chol.SolveVecInto(g.alpha, g.yStd)
 }
 
-// PredictScratch holds the per-caller buffers for PredictInto. A zero
-// value is ready to use; buffers grow on demand and are reused across
-// calls, making steady-state prediction allocation-free.
-type PredictScratch struct {
-	ks, v []float64
-}
-
-func (s *PredictScratch) resize(n int) {
-	if cap(s.ks) < n {
-		s.ks = make([]float64, n)
-		s.v = make([]float64, n)
-	}
-	s.ks = s.ks[:n]
-	s.v = s.v[:n]
-}
-
-// Predict returns the posterior mean and standard deviation at x,
-// in the original target units.
-func (g *GP) Predict(x []float64) (mu, sigma float64) {
-	var s PredictScratch
-	return g.PredictInto(x, &s)
-}
-
-// PredictInto is Predict using caller-provided scratch buffers, so the
-// hot candidate-scoring loop performs zero allocations. It only reads the
-// GP's state and is safe to call concurrently (with distinct scratch)
-// as long as nothing refits the model.
-func (g *GP) PredictInto(x []float64, s *PredictScratch) (mu, sigma float64) {
-	if g.chol == nil {
-		panic(ErrNoData)
-	}
-	n := len(g.x)
-	s.resize(n)
-	for i := range g.x {
-		s.ks[i] = g.kernel.Eval(g.x[i], x)
-	}
-	muStd := mat.Dot(s.ks, g.alpha)
-	// var = k(x,x) − ksᵀ (K+σ²I)⁻¹ ks, computed via the forward solve.
-	g.chol.ForwardSolveInto(s.v, s.ks)
-	variance := g.kernel.Eval(x, x) - mat.Dot(s.v, s.v)
-	if variance < 0 {
-		variance = 0
-	}
-	mu = muStd*g.yScale + g.yMean
-	sigma = math.Sqrt(variance) * g.yScale
-	if g.mean != nil {
-		pm, pv := g.mean.MeanVar(x)
-		mu += pm
-		// The pv==0 gate matters for bit-identity: Sqrt(sigma²) is not
-		// guaranteed to reproduce sigma, so a confident prior must not
-		// launder the posterior spread through a square/sqrt round trip.
-		if pv > 0 {
-			sigma = math.Sqrt(sigma*sigma + pv)
-		}
-	}
-	return mu, sigma
-}
-
 // PredictMatrixScratch holds the per-caller buffers for PredictMatrix.
 // A zero value is ready to use; buffers grow on demand and are reused
 // across calls, making steady-state batch prediction allocation-free.
 type PredictMatrixScratch struct {
-	ks    *mat.Dense // n×m cross-kernel block K(X, Q), then L⁻¹·K(X, Q) in place
-	muStd []float64  // m standardized posterior means
-	self  []float64  // m prior self-variances k(q, q)
+	ks       *mat.Dense // n×m cross-kernel block K(X, Q), then L⁻¹·K(X, Q) in place
+	muStd    []float64  // m standardized posterior means
+	self     []float64  // m prior self-variances k(q, q)
+	selfDiff []float64  // m·dim self-differences q − q
 }
 
-func (s *PredictMatrixScratch) resize(n, m int) {
+func (s *PredictMatrixScratch) resize(n, m, dim int) {
 	if s.ks == nil {
 		s.ks = mat.NewDense(n, m)
 	} else {
@@ -514,24 +420,32 @@ func (s *PredictMatrixScratch) resize(n, m int) {
 	}
 	s.muStd = s.muStd[:m]
 	s.self = s.self[:m]
+	if cap(s.selfDiff) < m*dim {
+		s.selfDiff = make([]float64, m*dim)
+	}
+	s.selfDiff = s.selfDiff[:m*dim]
 }
 
 // PredictMatrix fills mu[c], sigma[c] with the posterior at the m queries
-// packed row-major in qs (len(qs) = m·dim), in original target units. It
-// is the batched form of a PredictInto loop and is bit-identical to it:
+// packed row-major in qs (len(qs) = m·dim), in original target units.
+// Every query's result is bit-identical to the per-query posterior (one
+// Eval per training point, mat.Dot, ForwardSolveInto), which the package
+// tests keep as the reference:
 //
 //   - row i of the cross-kernel block K* holds k(xᵢ, q_c) for every query,
-//     evaluated with exactly the operand order PredictInto's ks loop uses;
+//     evaluated with exactly Eval(xᵢ, q_c)'s operand order, and each
+//     query's prior self-variance k(q_c, q_c) is evaluated from the
+//     differences q_c − q_c, the subtractions Eval(q_c, q_c) makes;
 //   - the posterior mean is one K*ᵀ·alpha product whose per-query
 //     accumulation order matches mat.Dot (mat.MulTVecInto);
 //   - the variance term forward-solves the whole block against the
 //     Cholesky factor in one pass, in place once the mean has read it
 //     (mat.ForwardSolveBatch, per-column identical to ForwardSolveInto),
 //     then accumulates Σᵢ v²ᵢ per query in ascending i — mat.Dot's
-//     order — before the same clamp and rescale.
+//     order — before the clamp and rescale.
 //
-// Like PredictInto it only reads the GP and is safe to call concurrently
-// with distinct scratch as long as nothing refits the model.
+// It only reads the GP and is safe to call concurrently with distinct
+// scratch as long as nothing refits the model.
 func (g *GP) PredictMatrix(qs []float64, dim int, mu, sigma []float64, s *PredictMatrixScratch) {
 	if g.chol == nil {
 		panic(ErrNoData)
@@ -547,23 +461,14 @@ func (g *GP) PredictMatrix(qs []float64, dim int, mu, sigma []float64, s *Predic
 		return
 	}
 	n := len(g.x)
-	s.resize(n, m)
-	if g.batchk != nil {
-		for i, xi := range g.x {
-			g.batchk.evalRowInto(s.ks.Row(i), xi, qs)
-		}
-	} else {
-		for i, xi := range g.x {
-			row := s.ks.Row(i)
-			for c := 0; c < m; c++ {
-				row[c] = g.kernel.Eval(xi, qs[c*dim:(c+1)*dim])
-			}
-		}
+	s.resize(n, m, dim)
+	for i, xi := range g.x {
+		g.kernel.evalRowInto(s.ks.Row(i), xi, qs)
 	}
-	for c := 0; c < m; c++ {
-		q := qs[c*dim : (c+1)*dim]
-		s.self[c] = g.kernel.Eval(q, q)
+	for i, v := range qs {
+		s.selfDiff[i] = v - v
 	}
+	g.kernel.evalDiffBatch(s.self, s.selfDiff)
 	mat.MulTVecInto(s.muStd, s.ks, g.alpha)
 	g.chol.ForwardSolveBatch(s.ks)
 	// sigma doubles as the Σ v² accumulator: ascending-i accumulation per
@@ -586,16 +491,28 @@ func (g *GP) PredictMatrix(qs []float64, dim int, mu, sigma []float64, s *Predic
 		sigma[c] = math.Sqrt(variance) * g.yScale
 	}
 	if g.mean != nil {
-		// Same per-query adjustment PredictInto applies, in the same
-		// order, so the batched path stays bit-identical to the loop.
 		for c := 0; c < m; c++ {
 			pm, pv := g.mean.MeanVar(qs[c*dim : (c+1)*dim])
 			mu[c] += pm
+			// The pv==0 gate matters for bit-identity: Sqrt(sigma²) is not
+			// guaranteed to reproduce sigma, so a confident prior must not
+			// launder the posterior spread through a square/sqrt round trip.
 			if pv > 0 {
 				sigma[c] = math.Sqrt(sigma[c]*sigma[c] + pv)
 			}
 		}
 	}
+}
+
+// Predict returns the posterior mean and standard deviation at x, in the
+// original target units: PredictMatrix on one query.
+func (g *GP) Predict(x []float64) (mu, sigma float64) {
+	var (
+		s         PredictMatrixScratch
+		mus, sigs [1]float64
+	)
+	g.PredictMatrix(x, len(x), mus[:], sigs[:], &s)
+	return mus[0], sigs[0]
 }
 
 // LogMarginalLikelihood returns log p(y | X, θ) of the standardized
@@ -662,7 +579,7 @@ func (g *GP) mleObjective(nk int) optim.Objective {
 // kernel and factorization scratch, so concurrent objective evaluations
 // never share mutable state.
 func (g *GP) cloneForFit() *GP {
-	c := &GP{
+	return &GP{
 		kernel:   g.kernel.Clone(),
 		logNoise: g.logNoise,
 		x:        g.x,
@@ -675,6 +592,4 @@ func (g *GP) cloneForFit() *GP {
 		diffs:    g.diffs,
 		factorN:  -1,
 	}
-	c.batchk, _ = c.kernel.(batchStationary)
-	return c
 }

@@ -123,17 +123,17 @@ func TestGPLogMarginalLikelihoodPrefersGoodFit(t *testing.T) {
 		y[i] = math.Sin(xi[0])
 	}
 	good := New(NewSE(1), 1e-4)
-	kp := good.Kernel().Params()
+	kp := good.kernel.Params()
 	kp[1] = math.Log(1.5)
-	good.Kernel().SetParams(kp)
+	good.kernel.SetParams(kp)
 	if err := good.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
 
 	bad := New(NewSE(1), 1e-4)
-	bp := bad.Kernel().Params()
+	bp := bad.kernel.Params()
 	bp[1] = math.Log(0.01) // absurdly short lengthscale
-	bad.Kernel().SetParams(bp)
+	bad.kernel.SetParams(bp)
 	if err := bad.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
@@ -152,9 +152,9 @@ func TestGPFitMLEImprovesLikelihood(t *testing.T) {
 	}
 	g := New(NewMatern52(1), 1e-4)
 	// Start from a deliberately bad lengthscale.
-	p := g.Kernel().Params()
+	p := g.kernel.Params()
 	p[1] = math.Log(20)
-	g.Kernel().SetParams(p)
+	g.kernel.SetParams(p)
 	if err := g.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}

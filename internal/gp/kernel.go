@@ -13,12 +13,28 @@ import (
 	"mlcd/internal/optim"
 )
 
-// Kernel is a positive-definite covariance function over feature vectors.
-// Hyperparameters are exposed in log space so that box-constrained
-// optimizers can search them freely.
+// Kernel is a positive-definite covariance function over feature
+// vectors: the squared-exponential (SE) or the Matérn 5/2 kernel, both
+// stationary with ARD lengthscales. Hyperparameters are exposed in log
+// space so that box-constrained optimizers can search them freely.
+//
+// The GP never calls Eval: it evaluates from coordinate differences
+// (EvalDiff) and through the unexported batch forms, which replay Eval's
+// per-pair operation sequence (sqDist's subtract/divide/square/
+// accumulate, then the kernel's map of the squared distance) a whole
+// row or triangle per devirtualized call, so every value is Eval's to
+// the bit. Because the batch forms are unexported, SE and Matérn 5/2 are
+// the whole family: code outside this package can embed one of them,
+// not write a new kernel.
 type Kernel interface {
-	// Eval returns k(x, y).
+	// Eval returns k(x, y): the per-pair reference the batch forms
+	// reproduce bit for bit.
 	Eval(x, y []float64) float64
+	// EvalDiff returns k(x, y) given diff[i] = x[i] − y[i], with exactly
+	// the floating-point operations Eval(x, y) would execute, so the
+	// GP's cache of raw pairwise differences reproduces Eval while
+	// touching no feature vectors.
+	EvalDiff(diff []float64) float64
 	// Params returns the log-space hyperparameters.
 	Params() []float64
 	// SetParams installs log-space hyperparameters (len must match Params).
@@ -29,23 +45,7 @@ type Kernel interface {
 	Clone() Kernel
 	// Name identifies the kernel family.
 	Name() string
-}
 
-// batchStationary is the in-package fast path behind GP.PredictMatrix
-// and the kernel-matrix rebuild, implemented by the built-in stationary
-// kernels (SE, Matérn 5/2), whose value depends on the coordinate
-// difference x−y only. EvalDiff evaluates from a precomputed diff vector
-// (diff[i] = x[i] − y[i]) with exactly the floating-point operations
-// Eval(x, y) would execute, so the GP's cache of raw pairwise
-// differences reproduces the direct path bit for bit while touching no
-// feature vectors. The batch forms evaluate a whole row of pairs in one
-// devirtualized call, replaying sqDist's per-pair operation sequence
-// with the lengthscale slice hoisted out of the loop: they exist to
-// amortize interface dispatch, never to change results.
-type batchStationary interface {
-	Kernel
-	// EvalDiff returns k(x, y) given diff[i] = x[i] − y[i].
-	EvalDiff(diff []float64) float64
 	// evalRowInto fills dst[c] = k(x, qs[c·dim : (c+1)·dim]) for the
 	// m = len(dst) queries packed row-major in qs (dim = len(x)).
 	evalRowInto(dst, x, qs []float64)

@@ -14,8 +14,8 @@ import "fmt"
 
 // MulTVecInto computes dst = aᵀ·x, i.e. dst[j] = Σᵢ a[i][j]·x[i], without
 // allocating. The sum over i runs in ascending order, which per column j
-// is exactly Dot(column j of a, x) — the accumulation PredictInto performs
-// for one query's posterior mean, replicated for every column at once.
+// is exactly Dot(column j of a, x) — the accumulation a per-query
+// posterior performs for its mean, replicated for every column at once.
 func MulTVecInto(dst []float64, a *Dense, x []float64) []float64 {
 	if a.rows != len(x) {
 		panic(fmt.Sprintf("mat: dimension mismatch %d×%dᵀ · %d", a.rows, a.cols, len(x)))

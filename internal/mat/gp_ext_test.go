@@ -28,7 +28,8 @@ func fitCatalog(t *testing.T, n int) []float64 {
 		xs[i] = cloud.Features(d)
 		ys[i] = math.Log(float64(d.Nodes))*0.8 + float64(d.Type.GPUs) + rng.NormFloat64()*0.05
 	}
-	g := gp.New(gp.NewMatern52(len(xs[0])), 1e-4)
+	k := gp.NewMatern52(len(xs[0]))
+	g := gp.New(k, 1e-4)
 	if err := g.Fit(xs, ys); err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func fitCatalog(t *testing.T, n int) []float64 {
 	mu, sigma := make([]float64, len(all)), make([]float64, len(all))
 	var s gp.PredictMatrixScratch
 	g.PredictMatrix(qs, len(xs[0]), mu, sigma, &s)
-	out := append(g.Kernel().Params(), g.Noise(), g.LogMarginalLikelihood())
+	out := append(k.Params(), g.Noise(), g.LogMarginalLikelihood())
 	return append(append(out, mu...), sigma...)
 }
 

@@ -37,11 +37,9 @@ import (
 	"strconv"
 	"time"
 
-	"mlcd/internal/faultfs"
 	"mlcd/internal/fleetprior"
 	"mlcd/internal/mlcdsys"
 	"mlcd/internal/obs"
-	"mlcd/internal/profiler"
 	"mlcd/internal/sched"
 	"mlcd/internal/shardplane"
 	"mlcd/internal/workload"
@@ -108,46 +106,9 @@ type errorJSON struct {
 	RetryAfterSec int    `json:"retry_after_sec,omitempty"`
 }
 
-// ServerConfig tunes the service around its scheduler.
-type ServerConfig struct {
-	// Jobs is the submission menu (nil → every predefined workload).
-	Jobs map[string]workload.Job
-	// Workers is the number of concurrent searches (default 1).
-	Workers int
-	// QueueSize bounds waiting submissions; beyond it POST returns 429
-	// (default 64).
-	QueueSize int
-	// Shards >= 2 runs the sharded control plane instead of a single
-	// scheduler; Workers and QueueSize then apply to EACH shard.
-	Shards int
-	// JournalDir enables the crash-safe segmented journal ("" → none):
-	// per shard under JournalDir/shard-N when Shards >= 2, one directory
-	// otherwise.
-	JournalDir string
-	// CompactEvery is the segmented journal's background compaction
-	// cadence (0 = on demand only).
-	CompactEvery time.Duration
-	// MergeEvery is the plane's cache snapshot merge cadence
-	// (see shardplane.Config.MergeEvery; Shards >= 2 only).
-	MergeEvery time.Duration
-	// ProfilerMiddleware wraps the measuring profiler inside the shared
-	// cache (instrumentation; see sched.Config.ProfilerMiddleware).
-	ProfilerMiddleware func(profiler.Profiler) profiler.Profiler
-	// FS is the storage under every journal (nil → the real filesystem).
-	// The storage-fault test hook; see internal/faultfs.
-	FS faultfs.FS
-	// HealthEvery is the sharded plane's journal health-probe cadence
-	// (see shardplane.Config.HealthEvery; Shards >= 2 only).
-	HealthEvery time.Duration
-	// DegradedAfter is how many consecutive journal failures degrade a
-	// shard (see shardplane.Config.DegradedAfter; Shards >= 2 only).
-	DegradedAfter int
-	// FleetPrior enables the fleet meta-prior: cross-job transfer curves
-	// learned from every tenant's journaled probes, armed on each search's
-	// surrogate and (sharded) republished fleet-wide at every snapshot
-	// merge. Inspect the current prior at GET /v1/fleet.
-	FleetPrior bool
-}
+// ServerConfig tunes the service around its backend: the sharded
+// plane's Config, which also says what a single scheduler uses of it.
+type ServerConfig = shardplane.Config
 
 // degradedRetryAfterSec is the Retry-After hint on 503s caused by a
 // degraded shard journal: long enough for a health-probe round to
@@ -212,20 +173,7 @@ func NewServer(sys *mlcdsys.System, jobs map[string]workload.Job) *Server {
 func NewServerWithConfig(sys *mlcdsys.System, cfg ServerConfig) (*Server, error) {
 	s := &Server{metrics: sys.Metrics(), mux: http.NewServeMux()}
 	if cfg.Shards >= 2 {
-		p, err := shardplane.New(sys, shardplane.Config{
-			Shards:             cfg.Shards,
-			Workers:            cfg.Workers,
-			QueueSize:          cfg.QueueSize,
-			Jobs:               cfg.Jobs,
-			JournalDir:         cfg.JournalDir,
-			CompactEvery:       cfg.CompactEvery,
-			MergeEvery:         cfg.MergeEvery,
-			ProfilerMiddleware: cfg.ProfilerMiddleware,
-			FS:                 cfg.FS,
-			HealthEvery:        cfg.HealthEvery,
-			DegradedAfter:      cfg.DegradedAfter,
-			FleetPrior:         cfg.FleetPrior,
-		})
+		p, err := shardplane.New(sys, cfg)
 		if err != nil {
 			return nil, err
 		}

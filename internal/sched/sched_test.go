@@ -265,9 +265,6 @@ func TestCrashRecoveryTruncatedTrailingLine(t *testing.T) {
 	// wedged on its 4th — a process kill with the journal left behind.
 	requests := make(chan struct{}, 128)
 	tokens := make(chan struct{}, 128)
-	for i := 0; i < 3; i++ {
-		tokens <- struct{}{}
-	}
 	a, err := New(newTestSystem(t), Config{
 		Workers:    1,
 		JournalDir: journalDir,
@@ -289,6 +286,12 @@ func TestCrashRecoveryTruncatedTrailingLine(t *testing.T) {
 	j2, err := a.Submit("resnet-cifar10", "globex", mlcdsys.Requirements{Budget: 100})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Release the probes only once both submissions are journaled, so the
+	// journal reads submit, submit, probe, probe, probe and the torn last
+	// line is always the third probe.
+	for i := 0; i < 3; i++ {
+		tokens <- struct{}{}
 	}
 	for i := 0; i < 4; i++ {
 		select {

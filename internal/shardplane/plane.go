@@ -19,7 +19,10 @@ import (
 	"mlcd/internal/workload"
 )
 
-// Config assembles a Plane.
+// Config assembles a Plane. It is also mlcdapi.ServerConfig, the HTTP
+// service's configuration: there Shards < 2 runs one scheduler instead
+// of a plane, journaling straight into JournalDir, and MergeEvery,
+// HealthEvery and DegradedAfter apply to the plane only.
 type Config struct {
 	// Shards is the number of independent scheduler shards (default 2).
 	Shards int

@@ -297,8 +297,10 @@ func RenderBreakdown(rows []BreakdownRow, constraint string) string {
 	return trace.BreakdownTable(rows, constraint)
 }
 
-// Kernel is a Gaussian-process covariance function; see NewMatern52Kernel
-// and NewSEKernel.
+// Kernel is a Gaussian-process covariance function. Matérn 5/2
+// (NewMatern52Kernel) and squared-exponential (NewSEKernel) are the
+// whole family: a Kernel can wrap one of them by embedding, but no other
+// type implements the interface.
 type Kernel = gp.Kernel
 
 // Acquisition scores search candidates; see NewEI, NewUCB, NewPOI.
