@@ -37,10 +37,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 
 	"mlcd/internal/conformance"
+	"mlcd/internal/profiler"
 	"mlcd/internal/rngtape"
 	"mlcd/internal/search"
 )
@@ -96,29 +95,10 @@ func main() {
 	}
 }
 
-// parseLadder turns "0.25,0.5" into a fidelity ladder.
-func parseLadder(s string) ([]float64, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		f, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			return nil, fmt.Errorf("conformance: bad fidelity %q: %w", part, err)
-		}
-		if f <= 0 || f >= 1 {
-			return nil, fmt.Errorf("conformance: fidelity %v outside (0,1)", f)
-		}
-		out = append(out, f)
-	}
-	return out, nil
-}
-
 // regretStudy runs the paired regret-vs-profiling-dollars suite and
 // writes the BENCH-shaped JSON report.
 func regretStudy(cfg config, stdout io.Writer) error {
-	ladder, err := parseLadder(cfg.fidelity)
+	ladder, err := profiler.ParseLadder(cfg.fidelity)
 	if err != nil {
 		return err
 	}
@@ -237,7 +217,7 @@ func soak(cfg config, stdout, stderr io.Writer) int {
 	// Case generation consumes the rng sequentially, so the full set is
 	// built up front — the same set regardless of worker count.
 	rng := rngtape.New(cfg.seed)
-	ladder, err := parseLadder(cfg.fidelity)
+	ladder, err := profiler.ParseLadder(cfg.fidelity)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1

@@ -10,8 +10,8 @@
 // Submissions flow through a bounded queue into -workers concurrent
 // deployment searches sharing one profiling cache. With -journal-dir
 // set, every submission and probe is persisted to a segmented journal
-// in that directory (rotating segments plus a snapshot compacted every
-// -compact-every) and a restarted daemon resumes unfinished jobs
+// in that directory (rotating segments plus a snapshot the journal
+// compacts every minute) and a restarted daemon resumes unfinished jobs
 // without re-profiling. On SIGINT/SIGTERM the daemon drains in-flight
 // HTTP requests, gives running searches -drain-timeout to finish, then
 // cancels them (journaled jobs are recovered on the next start).
@@ -21,10 +21,10 @@
 // consistent hashing, each journaling to its own directory under
 // -journal-dir:
 //
-//	mlcdd -addr :9090 -shards 4 -workers 2 -journal-dir /var/lib/mlcdd -compact-every 1m
+//	mlcdd -addr :9090 -shards 4 -workers 2 -journal-dir /var/lib/mlcdd
 //
 // A background health loop (-health-every) probes each shard's journal;
-// after -degrade-after consecutive write failures a shard is marked
+// after three consecutive write failures a shard is marked
 // degraded — new tenants are rerouted to healthy shards, existing
 // tenants of the sick shard get 503 + Retry-After, and GET /v1/health
 // reports the per-shard states. A degraded shard is readmitted as soon
@@ -49,8 +49,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -59,6 +57,7 @@ import (
 	"mlcd/internal/mlcdapi"
 	"mlcd/internal/mlcdsys"
 	"mlcd/internal/obs"
+	"mlcd/internal/profiler"
 )
 
 func main() {
@@ -69,7 +68,6 @@ func main() {
 		queueSize    = flag.Int("queue", 64, "max queued submissions before 429")
 		shards       = flag.Int("shards", 1, "scheduler shards; >= 2 enables the sharded control plane")
 		journalDir   = flag.String("journal-dir", "", "segmented journal directory (per shard when sharded; empty = none)")
-		compactEvery = flag.Duration("compact-every", 0, "background journal compaction cadence (0 = on demand only)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "grace period for running searches on shutdown")
 		pprofAddr    = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 		chaosPlan    = flag.String("chaos-plan", "", "fault-injection plan: a builtin name (launch-storm, spot-interrupt, waitready-timeout, brownout) or a JSON plan file")
@@ -77,12 +75,11 @@ func main() {
 		ckptEvery    = flag.Duration("checkpoint-every", 0, "checkpoint interval for training runs (0 = no checkpointing)")
 		fidelity     = flag.String("fidelity", "", "comma-separated sub-sampling ladder for multi-fidelity probing, e.g. 0.25,0.5 (empty = full probes only)")
 		healthEvery  = flag.Duration("health-every", 0, "shard journal health probe cadence when sharded (0 = 1s default, negative = disabled)")
-		degradeAfter = flag.Int("degrade-after", 0, "consecutive journal-write failures before a shard is marked degraded (0 = default 3)")
 		fleetPrior   = flag.Bool("fleet-prior", true, "learn a fleet meta-prior from all tenants' probes and warm-start every search's surrogate with it (inspect at GET /v1/fleet)")
 	)
 	flag.Parse()
 
-	ladder, err := parseLadder(*fidelity)
+	ladder, err := profiler.ParseLadder(*fidelity)
 	if err != nil {
 		log.Fatalf("mlcdd: %v", err)
 	}
@@ -113,14 +110,12 @@ func main() {
 		Resilience: mlcdsys.Resilience{CheckpointEvery: *ckptEvery},
 	})
 	server, err := mlcdapi.NewServerWithConfig(sys, mlcdapi.ServerConfig{
-		Workers:       *workers,
-		QueueSize:     *queueSize,
-		Shards:        *shards,
-		JournalDir:    *journalDir,
-		CompactEvery:  *compactEvery,
-		HealthEvery:   *healthEvery,
-		DegradedAfter: *degradeAfter,
-		FleetPrior:    *fleetPrior,
+		Workers:     *workers,
+		QueueSize:   *queueSize,
+		Shards:      *shards,
+		JournalDir:  *journalDir,
+		HealthEvery: *healthEvery,
+		FleetPrior:  *fleetPrior,
 	})
 	if err != nil {
 		log.Fatalf("mlcdd: %v", err)
@@ -180,23 +175,4 @@ func main() {
 		log.Printf("mlcdd: scheduler shutdown: %v", err)
 	}
 	fmt.Println("mlcdd: bye")
-}
-
-// parseLadder turns "0.25,0.5" into a multi-fidelity probing ladder.
-func parseLadder(s string) ([]float64, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		f, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad fidelity %q: %w", part, err)
-		}
-		if f <= 0 || f >= 1 {
-			return nil, fmt.Errorf("fidelity %v outside (0,1)", f)
-		}
-		out = append(out, f)
-	}
-	return out, nil
 }

@@ -184,7 +184,6 @@ func NewServerWithConfig(sys *mlcdsys.System, cfg ServerConfig) (*Server, error)
 			QueueSize:          cfg.QueueSize,
 			Jobs:               cfg.Jobs,
 			JournalDir:         cfg.JournalDir,
-			CompactEvery:       cfg.CompactEvery,
 			ProfilerMiddleware: cfg.ProfilerMiddleware,
 			FS:                 cfg.FS,
 			FleetPrior:         cfg.FleetPrior,

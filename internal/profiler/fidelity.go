@@ -1,6 +1,9 @@
 package profiler
 
 import (
+	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
 	"mlcd/internal/cloud"
@@ -36,6 +39,27 @@ func Fid(f float64) float64 {
 		return MinFidelity
 	}
 	return f
+}
+
+// ParseLadder reads a comma-separated multi-fidelity probing ladder
+// ("0.25,0.5"); the empty string is no ladder. Every rung must lie in
+// (0, 1): a full probe is not a rung, and NaN is refused with the rest.
+func ParseLadder(s string) ([]float64, error) {
+	if s == "" {
+		return nil, nil
+	}
+	var out []float64
+	for _, part := range strings.Split(s, ",") {
+		f, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
+		if err != nil {
+			return nil, fmt.Errorf("profiler: bad fidelity %q: %w", part, err)
+		}
+		if !(f > 0 && f < 1) {
+			return nil, fmt.Errorf("profiler: fidelity %v outside (0,1)", f)
+		}
+		out = append(out, f)
+	}
+	return out, nil
 }
 
 // DurationAt is Eq. 7 at fidelity f: the setup floor plus f of the

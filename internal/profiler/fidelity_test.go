@@ -183,3 +183,40 @@ func TestProbeAtFallback(t *testing.T) {
 		t.Fatalf("fallback billed %v, want the full price %v", r.Duration, want)
 	}
 }
+
+// TestParseLadder pins which ladders mlcdd's and conformance's
+// -fidelity flag accept: comma-separated rungs strictly inside (0, 1),
+// spaces around a rung allowed, the empty string meaning no ladder.
+func TestParseLadder(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want []float64
+	}{
+		{"", nil},
+		{"0.25", []float64{0.25}},
+		{"0.25,0.5", []float64{0.25, 0.5}},
+		{" 0.5 , 0.75", []float64{0.5, 0.75}},
+		{"0.01", []float64{0.01}}, // below MinFidelity: Fid clamps it at probe time
+	} {
+		got, err := ParseLadder(tc.in)
+		if err != nil {
+			t.Errorf("ParseLadder(%q) = %v", tc.in, err)
+			continue
+		}
+		if len(got) != len(tc.want) {
+			t.Errorf("ParseLadder(%q) = %v, want %v", tc.in, got, tc.want)
+			continue
+		}
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Errorf("ParseLadder(%q) = %v, want %v", tc.in, got, tc.want)
+				break
+			}
+		}
+	}
+	for _, in := range []string{"0", "1", "1.5", "-0.25", "NaN", "Inf", "0.25,1", "0.25,", ",0.5", "abc", "0.25;0.5"} {
+		if got, err := ParseLadder(in); err == nil {
+			t.Errorf("ParseLadder(%q) = %v, want an error", in, got)
+		}
+	}
+}

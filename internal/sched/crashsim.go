@@ -117,7 +117,7 @@ func RunCrashPlan(plan CrashPlan) (CrashReport, error) {
 	inj.SetPlan(faults)
 
 	oracle := newSimOracle()
-	j, err := OpenSegmented(SegmentedConfig{Dir: crashSimDir, MaxRecords: plan.MaxRecords, FS: inj})
+	j, _, err := OpenSegmented(SegmentedConfig{Dir: crashSimDir, MaxRecords: plan.MaxRecords, FS: inj})
 	switch {
 	case err == nil:
 		runCrashScript(j, rand.New(rand.NewSource(plan.Seed)), plan.Ops, oracle)
@@ -164,7 +164,7 @@ func RunCrashPlan(plan CrashPlan) (CrashReport, error) {
 	// ---- Compaction idempotence under crash-retry. ----
 	// Reopen (repairs any torn tail, clears stale tmp), then compact
 	// twice; the effective state must not drift.
-	j2, err := OpenSegmented(SegmentedConfig{Dir: crashSimDir, MaxRecords: plan.MaxRecords, FS: mem})
+	j2, _, err := OpenSegmented(SegmentedConfig{Dir: crashSimDir, MaxRecords: plan.MaxRecords, FS: mem})
 	if err != nil {
 		return rep, fmt.Errorf("clean-recovery invariant: reopen after crash: %w", err)
 	}

@@ -178,7 +178,7 @@ func FuzzDecodeRecord(f *testing.F) {
 // without a byte written, and the journal keeps appending.
 func TestAppendLineBound(t *testing.T) {
 	dir := t.TempDir()
-	jl, err := OpenSegmented(SegmentedConfig{Dir: dir})
+	jl, _, err := OpenSegmented(SegmentedConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,7 +126,7 @@ func FuzzJournalRoundTrip(f *testing.F) {
 			}
 		}
 		dir := t.TempDir()
-		jl, err := OpenSegmented(SegmentedConfig{Dir: dir})
+		jl, _, err := OpenSegmented(SegmentedConfig{Dir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -85,7 +85,7 @@ func BenchmarkJournalAppendDirect(b *testing.B) {
 // crosses the injectable-filesystem interface. MaxRecords exceeds
 // b.N, so no segment rotation lands inside the timed cycle.
 func BenchmarkJournalAppend(b *testing.B) {
-	j, err := OpenSegmented(SegmentedConfig{Dir: benchJournalDir(b), MaxRecords: b.N + 1, FS: faultfs.OS{}})
+	j, _, err := OpenSegmented(SegmentedConfig{Dir: benchJournalDir(b), MaxRecords: b.N + 1, FS: faultfs.OS{}})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -152,7 +152,7 @@ func TestProbeJournalHealthRecords(t *testing.T) {
 	if err := s.ProbeJournal(); err != nil || s.JournalErrStreak() != 0 {
 		t.Fatalf("probe after heal = %v, streak %d", err, s.JournalErrStreak())
 	}
-	if err := s.CompactJournal(); err != nil {
+	if err := s.journal.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -220,7 +220,7 @@ func TestStaleSnapshotTmpCleared(t *testing.T) {
 	if err := os.WriteFile(stale, []byte(`{"version":1,"through":99}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	j, err := OpenSegmented(SegmentedConfig{Dir: dir})
+	j, _, err := OpenSegmented(SegmentedConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

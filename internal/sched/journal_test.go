@@ -21,7 +21,7 @@ func writeFirstSegment(t *testing.T, content string) string {
 
 func TestJournalRoundTrip(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "journal")
-	jl, err := OpenSegmented(SegmentedConfig{Dir: dir})
+	jl, _, err := OpenSegmented(SegmentedConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestJournalTornTailTolerated(t *testing.T) {
 func TestJournalTornTailRepairedOnOpen(t *testing.T) {
 	dir := writeFirstSegment(t, `{"type":"submit","id":"job-0001","job":"resnet-cifar10","budget_usd":100}
 {"type":"probe","job":"resnet-cifar10","obser`) // crashed mid-append
-	jl, err := OpenSegmented(SegmentedConfig{Dir: dir})
+	jl, _, err := OpenSegmented(SegmentedConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestJournalTornTailRepairedOnOpen(t *testing.T) {
 // holding nothing but one torn line truncates to empty.
 func TestJournalRepairWholeFileTorn(t *testing.T) {
 	dir := writeFirstSegment(t, `{"type":"sub`)
-	jl, err := OpenSegmented(SegmentedConfig{Dir: dir})
+	jl, _, err := OpenSegmented(SegmentedConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

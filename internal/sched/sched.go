@@ -97,18 +97,11 @@ type Config struct {
 	// DefaultMenu).
 	Jobs map[string]workload.Job
 	// JournalDir enables the crash-safe journal ("" → none): rotating
-	// segment files under this directory with snapshot compaction, so
-	// recovery cost stays O(live jobs) as history grows. An existing
-	// journal is replayed first: unfinished submissions are re-enqueued
-	// and journaled probes prime the cache.
+	// segment files under this directory, compacted into a snapshot
+	// every minute, so recovery cost stays O(live jobs) as history
+	// grows. An existing journal is replayed first: unfinished
+	// submissions are re-enqueued and journaled probes prime the cache.
 	JournalDir string
-	// CompactEvery sets the segmented journal's background compaction
-	// cadence (0 = compact only on demand). Only meaningful with
-	// JournalDir.
-	CompactEvery time.Duration
-	// SegmentMaxRecords seals a journal segment after this many appends
-	// (0 → 1024). Only meaningful with JournalDir.
-	SegmentMaxRecords int
 	// IDPrefix prefixes generated job IDs ("" → "job", yielding
 	// "job-0001"). The shard plane gives each shard its own prefix
 	// ("s2-job") so IDs stay unique — and routable — across shards.
@@ -327,11 +320,12 @@ func New(sys *mlcdsys.System, cfg Config) (*Scheduler, error) {
 }
 
 // Recover builds a scheduler over sys without starting it. With a
-// journal configured it replays it, opens it for appending, folds the
-// replay in (journaled probes prime the cache; unfinished jobs are
-// enqueued ahead of any new submission; jobs whose menu entry vanished
-// are journaled failed), and, with Config.FleetPrior set, rebuilds the
-// fleet prior from the primed cache. No worker runs until Start, so a
+// journal configured it opens it, in the one pass that also replays it,
+// and folds the replay in (journaled probes prime the cache; unfinished
+// jobs are enqueued ahead of any new submission; jobs whose menu entry
+// vanished are journaled failed); the journal then compacts itself every
+// minute. With Config.FleetPrior set it rebuilds the fleet prior from
+// the primed cache. No worker runs until Start, so a
 // caller assembling several schedulers — the shard plane — can publish
 // shared state before any recovered search begins, or Close them all
 // with every recovered job still owed in its journal.
@@ -374,17 +368,12 @@ func Recover(sys *mlcdsys.System, cfg Config) (*Scheduler, error) {
 
 	var recovered []*job
 	if cfg.JournalDir != "" {
-		state, _, err := ReplaySegmentedFS(cfg.FS, cfg.JournalDir)
-		if err != nil {
-			return nil, err
-		}
-		jl, err := OpenSegmented(SegmentedConfig{
+		jl, state, err := OpenSegmented(SegmentedConfig{
 			Dir:          cfg.JournalDir,
-			MaxRecords:   cfg.SegmentMaxRecords,
-			CompactEvery: cfg.CompactEvery,
+			CompactEvery: compactEvery,
 			FS:           cfg.FS,
 			OnRotate:     s.m.journalRotates.Inc,
-			OnCompact: func(segments int, d time.Duration) {
+			OnCompact: func(d time.Duration) {
 				s.m.journalCompacts.Inc()
 				s.m.compactSeconds.Observe(d.Seconds())
 			},
@@ -490,9 +479,6 @@ func (s *Scheduler) absorb(state JournalState) []*job {
 	}
 	return pending
 }
-
-// Menu returns the submission menu. Callers must not mutate it.
-func (s *Scheduler) Menu() map[string]workload.Job { return s.menu }
 
 // Cache returns the shared profiling cache.
 func (s *Scheduler) Cache() *ProfileCache { return s.cache }
@@ -710,15 +696,6 @@ func (s *Scheduler) Load() (queued, capacity, workers int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.queue), cap(s.queue), s.workers
-}
-
-// CompactJournal folds the journal's sealed segments into its snapshot
-// immediately. A no-op when the scheduler does not journal.
-func (s *Scheduler) CompactJournal() error {
-	if s.journal == nil {
-		return nil
-	}
-	return s.journal.Compact()
 }
 
 // Close stops accepting submissions and blocks until every queued and

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -30,13 +29,14 @@ import (
 // opened. Compaction folds the current snapshot plus every
 // sealed segment into a fresh snapshot — keeping only live (non-
 // terminal) submissions, one probe per (job, type, nodes), and the
-// maximum job-ID sequence — then deletes the sealed segments it
-// absorbed. The snapshot is written to a temp file, fsynced, and
+// maximum job-ID sequence — then deletes every segment the new snapshot
+// covers. The snapshot is written to a temp file, fsynced, and
 // renamed into place, so a crash at any point leaves either the old or
 // the new snapshot, never a torn one; segments are deleted only after
 // the rename, and replay skips any leftover segment the snapshot
 // already covers (Through), so the crash window between rename and
-// delete is idempotent.
+// delete is idempotent, and the next compaction deletes the leftover.
+// A scheduler's journal compacts itself every compactEvery.
 //
 // Recovery replays snapshot.json, then every segment with a sequence
 // number greater than the snapshot's Through, in order. The last
@@ -57,6 +57,11 @@ const (
 	snapshotName      = "snapshot.json"
 	segmentPattern    = "seg-%08d.jnl"
 	defaultMaxRecords = 1024
+	// compactEvery is the cadence at which every journal a scheduler
+	// opens compacts itself, so a restart replays live jobs and distinct
+	// probes, not the history (health records included) since the last
+	// compaction.
+	compactEvery = time.Minute
 )
 
 // SegmentedConfig assembles a SegmentedJournal.
@@ -67,13 +72,12 @@ type SegmentedConfig struct {
 	// (default 1024).
 	MaxRecords int
 	// CompactEvery starts a background loop compacting sealed segments
-	// on this cadence (0 = compact only on rotation thresholds or when
-	// Compact is called explicitly).
+	// on this cadence (0 = no loop; only explicit Compact calls compact).
 	CompactEvery time.Duration
-	// OnCompact, when non-nil, is invoked after each successful
-	// compaction with the number of segments absorbed and the elapsed
-	// wall time. Used to wire metrics without importing obs here.
-	OnCompact func(segments int, d time.Duration)
+	// OnCompact, when non-nil, is invoked after each compaction that
+	// writes a snapshot, with the elapsed wall time. Used to wire metrics
+	// without importing obs here.
+	OnCompact func(d time.Duration)
 	// OnRotate, when non-nil, is invoked after each segment rotation.
 	OnRotate func()
 	// FS is the storage under the journal (nil → the real filesystem).
@@ -85,6 +89,10 @@ type SegmentedConfig struct {
 type SegmentedJournal struct {
 	cfg SegmentedConfig
 	fs  faultfs.FS // cfg.FS resolved (never nil)
+
+	// compacting serializes Compact: two compactions would write the
+	// same snapshot temp file.
+	compacting sync.Mutex
 
 	mu     sync.Mutex
 	seq    int // active segment sequence number
@@ -158,35 +166,25 @@ func ReplaySegmented(dir string) (JournalState, ReplayStats, error) {
 
 // ReplaySegmentedFS is ReplaySegmented over an injectable filesystem.
 func ReplaySegmentedFS(fsys faultfs.FS, dir string) (JournalState, ReplayStats, error) {
-	var rs ReplayStats
 	snap, err := readSnapshot(fsys, dir)
 	if err != nil {
-		return JournalState{}, rs, err
+		return JournalState{}, ReplayStats{}, err
 	}
-	rs.SnapshotSubs = len(snap.Subs)
-	rs.SnapshotProbes = len(snap.Probes)
-
 	seqs, err := listSegments(fsys, dir)
 	if err != nil {
-		return JournalState{}, rs, err
+		return JournalState{}, ReplayStats{}, err
 	}
-	var tail []int
-	for _, seq := range seqs {
-		if seq > snap.Through { // lower ones: compacted but not yet deleted (crash window)
-			tail = append(tail, seq)
-		}
-	}
-	st, records, err := foldSegments(fsys, dir, snap, tail)
-	rs.TailRecords = records
-	rs.TailSegments = len(tail)
+	st, rs, _, err := foldSegments(fsys, dir, snap, seqs)
 	return st, rs, err
 }
 
-// foldSegments rebuilds the state that snap plus the segments seqs (in
-// order) prove, and counts the segment records it applied. Replay and
-// compaction both go through it, so they cannot disagree on what the
+// foldSegments rebuilds the state that snap plus every segment of seqs
+// (ascending) it does not cover prove, in order. It reports what it read
+// and the record count of the last segment it folded. Open, replay and
+// compaction all go through it, so they cannot disagree on what the
 // journal holds.
-func foldSegments(fsys faultfs.FS, dir string, snap snapshotFile, seqs []int) (JournalState, int, error) {
+func foldSegments(fsys faultfs.FS, dir string, snap snapshotFile, seqs []int) (JournalState, ReplayStats, int, error) {
+	rs := ReplayStats{SnapshotSubs: len(snap.Subs), SnapshotProbes: len(snap.Probes)}
 	st := JournalState{MaxID: snap.MaxID}
 	index := make(map[string]int) // id → position in st.Subs
 	for _, sub := range snap.Subs {
@@ -194,11 +192,14 @@ func foldSegments(fsys faultfs.FS, dir string, snap snapshotFile, seqs []int) (J
 		st.Subs = append(st.Subs, sub)
 	}
 	st.Probes = append(st.Probes, snap.Probes...)
-	records := 0
+	last := 0
 	for _, seq := range seqs {
+		if seq <= snap.Through {
+			continue // compacted but not yet deleted (crash window, failed Remove)
+		}
 		f, err := fsys.Open(segPath(dir, seq))
 		if err != nil {
-			return st, records, err
+			return st, rs, 0, err
 		}
 		// Any segment can end in a torn line: the active one when a crash
 		// hit mid-append, and a sealed one whose torn tail a later open
@@ -209,18 +210,23 @@ func foldSegments(fsys faultfs.FS, dir string, snap snapshotFile, seqs []int) (J
 		})
 		_ = f.Close()
 		if err != nil {
-			return st, records, fmt.Errorf("sched: segment %d: %w", seq, err)
+			return st, rs, 0, fmt.Errorf("sched: segment %d: %w", seq, err)
 		}
-		records += n
+		rs.TailSegments++
+		rs.TailRecords += n
+		last = n
 	}
-	return st, records, nil
+	return st, rs, last, nil
 }
 
 // OpenSegmented opens (creating if needed) the segmented journal in
-// cfg.Dir for appending, repairing the active segment's torn tail
-// first, and starts the background compaction loop when CompactEvery is
-// set. Callers replay with ReplaySegmented before opening.
-func OpenSegmented(cfg SegmentedConfig) (*SegmentedJournal, error) {
+// cfg.Dir in one pass, and returns it with the state it holds. The pass
+// repairs the active segment's torn tail, folds the snapshot and every
+// segment it does not cover, takes the active segment's record count
+// from that fold (so a reopened segment rotates at the same threshold
+// as a fresh one), and opens the active segment for appending. With
+// CompactEvery set it then starts the background compaction loop.
+func OpenSegmented(cfg SegmentedConfig) (*SegmentedJournal, JournalState, error) {
 	if cfg.MaxRecords <= 0 {
 		cfg.MaxRecords = defaultMaxRecords
 	}
@@ -229,42 +235,48 @@ func OpenSegmented(cfg SegmentedConfig) (*SegmentedJournal, error) {
 		fsys = faultfs.OS{}
 	}
 	if err := fsys.MkdirAll(cfg.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("sched: creating journal dir: %w", err)
+		return nil, JournalState{}, fmt.Errorf("sched: creating journal dir: %w", err)
 	}
 	// A crash between writing snapshot.json.tmp and renaming it leaves
 	// the tmp file behind; it covers nothing (only the rename publishes
 	// it) and a fresh compaction will rewrite it, so discard it rather
 	// than let it accumulate — or worse, be confused for state.
 	if err := fsys.Remove(filepath.Join(cfg.Dir, snapshotName+".tmp")); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return nil, fmt.Errorf("sched: clearing stale snapshot tmp: %w", err)
+		return nil, JournalState{}, fmt.Errorf("sched: clearing stale snapshot tmp: %w", err)
 	}
 	seqs, err := listSegments(fsys, cfg.Dir)
 	if err != nil {
-		return nil, err
+		return nil, JournalState{}, err
 	}
-	seq := 1
-	if len(seqs) > 0 {
+	snap, err := readSnapshot(fsys, cfg.Dir)
+	if err != nil {
+		return nil, JournalState{}, err
+	}
+	// The active segment is the last one, and never one the snapshot
+	// covers: every replay would skip a record appended there.
+	seq := snap.Through + 1
+	if len(seqs) > 0 && seqs[len(seqs)-1] > seq {
 		seq = seqs[len(seqs)-1]
 	}
 	path := segPath(cfg.Dir, seq)
 	// Only the last segment can be torn (it was the active one when the
 	// crash hit); sealed segments were rotated away from after an fsync.
 	if err := repairTornTail(fsys, path); err != nil {
-		return nil, fmt.Errorf("sched: repairing segment tail: %w", err)
+		return nil, JournalState{}, fmt.Errorf("sched: repairing segment tail: %w", err)
+	}
+	// The active segment, when it exists, is the last segment folded.
+	st, _, n, err := foldSegments(fsys, cfg.Dir, snap, seqs)
+	if err != nil {
+		return nil, JournalState{}, err
 	}
 	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("sched: opening segment: %w", err)
-	}
-	n, err := countRecords(fsys, path)
-	if err != nil {
-		_ = f.Close()
-		return nil, err
+		return nil, JournalState{}, fmt.Errorf("sched: opening segment: %w", err)
 	}
 	info, err := f.Stat()
 	if err != nil {
 		_ = f.Close()
-		return nil, fmt.Errorf("sched: sizing segment: %w", err)
+		return nil, JournalState{}, fmt.Errorf("sched: sizing segment: %w", err)
 	}
 	j := &SegmentedJournal{
 		cfg: cfg,
@@ -279,29 +291,7 @@ func OpenSegmented(cfg SegmentedConfig) (*SegmentedJournal, error) {
 		j.done = make(chan struct{})
 		go j.compactLoop()
 	}
-	return j, nil
-}
-
-// countRecords counts newline-terminated records in a segment so a
-// reopened active segment rotates at the same threshold as a fresh one.
-func countRecords(fsys faultfs.FS, path string) (int, error) {
-	f, err := fsys.Open(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, err
-	}
-	defer func() { _ = f.Close() }()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), maxRecordLine)
-	n := 0
-	for sc.Scan() {
-		if len(sc.Bytes()) > 0 {
-			n++
-		}
-	}
-	return n, sc.Err()
+	return j, st, nil
 }
 
 // append writes one record to the active segment, fsyncs it, and
@@ -387,12 +377,15 @@ func (j *SegmentedJournal) rotateLocked() error {
 }
 
 // Compact folds the snapshot and every sealed segment into a new
-// snapshot and deletes the absorbed segments. When the active segment
-// holds records and no sealed segment exists yet, it is rotated first
-// so a slow-trickle journal still converges to snapshot + empty tail.
-// Safe to call concurrently with appends: sealed segments are immutable
-// and only the rotation itself takes the journal lock.
+// snapshot, then deletes every segment the snapshot covers. When the
+// active segment holds records it is rotated first, so a slow-trickle
+// journal still converges to snapshot + empty tail. Safe to call
+// concurrently with appends and with itself: sealed segments are
+// immutable, only the rotation takes the journal lock, and compactions
+// run one at a time.
 func (j *SegmentedJournal) Compact() error {
+	j.compacting.Lock()
+	defer j.compacting.Unlock()
 	start := time.Now()
 	j.mu.Lock()
 	if j.closed {
@@ -416,21 +409,39 @@ func (j *SegmentedJournal) Compact() error {
 	if err != nil {
 		return err
 	}
-	var sealed []int
+	var covered []int // every segment the new snapshot covers
 	for _, seq := range seqs {
-		if seq > snap.Through && seq <= through {
-			sealed = append(sealed, seq)
+		if seq <= through {
+			covered = append(covered, seq)
 		}
 	}
-	if len(sealed) == 0 && snap.Through >= through {
-		return nil // nothing new to fold in
+	if snap.Through < through {
+		if err := j.writeCompacted(snap, covered, through); err != nil {
+			return err
+		}
+		if j.cfg.OnCompact != nil {
+			j.cfg.OnCompact(time.Since(start))
+		}
 	}
+	// Delete every covered segment, not only those just folded: a crash
+	// between an earlier rename and its deletes, or a failed Remove,
+	// leaves covered segments that no later fold reads.
+	var errs []error
+	for _, seq := range covered {
+		if err := j.fs.Remove(segPath(j.cfg.Dir, seq)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			errs = append(errs, err)
+		}
+	}
+	return errors.Join(errs...)
+}
 
-	st, _, err := foldSegments(j.fs, j.cfg.Dir, snap, sealed)
+// writeCompacted folds snap and the segments seqs into the snapshot
+// covering segments ≤ through, and writes it.
+func (j *SegmentedJournal) writeCompacted(snap snapshotFile, seqs []int, through int) error {
+	st, _, _, err := foldSegments(j.fs, j.cfg.Dir, snap, seqs)
 	if err != nil {
 		return fmt.Errorf("sched: compacting: %w", err)
 	}
-
 	next := snapshotFile{Version: 1, Through: through, MaxID: st.MaxID}
 	for _, sub := range st.Subs {
 		// Status "" means the journal never proved a terminal state: the
@@ -452,17 +463,7 @@ func (j *SegmentedJournal) Compact() error {
 		seen[key] = true
 		next.Probes = append(next.Probes, p)
 	}
-
-	if err := writeSnapshot(j.fs, j.cfg.Dir, next); err != nil {
-		return err
-	}
-	for _, seq := range sealed {
-		_ = j.fs.Remove(segPath(j.cfg.Dir, seq))
-	}
-	if j.cfg.OnCompact != nil {
-		j.cfg.OnCompact(len(sealed), time.Since(start))
-	}
-	return nil
+	return writeSnapshot(j.fs, j.cfg.Dir, next)
 }
 
 // writeSnapshot atomically replaces dir's snapshot: write temp, fsync,

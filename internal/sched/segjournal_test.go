@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -33,7 +34,7 @@ func appendDeadJobs(t *testing.T, j *SegmentedJournal, start, n int) {
 
 func TestSegmentedRoundTripAndRotation(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "jnl")
-	j, err := OpenSegmented(SegmentedConfig{Dir: dir, MaxRecords: 3})
+	j, _, err := OpenSegmented(SegmentedConfig{Dir: dir, MaxRecords: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestSegmentedRoundTripAndRotation(t *testing.T) {
 func TestSegmentedRecoveryFlatAsHistoryGrows(t *testing.T) {
 	replayCost := func(dead int) (ReplayStats, JournalState) {
 		dir := filepath.Join(t.TempDir(), "jnl")
-		j, err := OpenSegmented(SegmentedConfig{Dir: dir, MaxRecords: 16})
+		j, _, err := OpenSegmented(SegmentedConfig{Dir: dir, MaxRecords: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +131,7 @@ func TestSegmentedRecoveryFlatAsHistoryGrows(t *testing.T) {
 // (job, type, nodes) — the first, matching the cache's Prime semantics.
 func TestSegmentedCompactDedupesProbes(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "jnl")
-	j, err := OpenSegmented(SegmentedConfig{Dir: dir, MaxRecords: 4})
+	j, _, err := OpenSegmented(SegmentedConfig{Dir: dir, MaxRecords: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestSegmentedCompactToleratesTornSealedSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j, err := OpenSegmented(SegmentedConfig{Dir: dir})
+	j, _, err := OpenSegmented(SegmentedConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,11 +251,13 @@ func TestSegmentedCrashBetweenSnapshotAndDelete(t *testing.T) {
 }
 
 // TestSchedulerSegmentedJournalRecovery drives the segmented journal
-// through the real scheduler: jobs run to done, the journal compacts,
-// and a restarted scheduler neither loses live jobs nor re-mints IDs.
+// through the real scheduler: jobs run to done, the journal writes past
+// its first segment and compacts, and a restarted scheduler neither
+// loses live jobs nor re-mints IDs.
 func TestSchedulerSegmentedJournalRecovery(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "jnl")
-	a, err := New(newTestSystem(t), Config{Workers: 1, JournalDir: dir, SegmentMaxRecords: 4})
+	mem := faultfs.NewMem()
+	const dir = "jnl"
+	a, err := New(newTestSystem(t), Config{Workers: 1, JournalDir: dir, FS: mem})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,12 +266,24 @@ func TestSchedulerSegmentedJournalRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	awaitStatus(t, a, j1.ID, StatusDone)
-	if err := a.CompactJournal(); err != nil {
+	// Health records fill the first segment, so the journal rotates.
+	for i := 0; i < defaultMaxRecords; i++ {
+		if err := a.ProbeJournal(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if seqs, _ := listSegments(mem, dir); len(seqs) < 2 {
+		t.Fatalf("segments = %v, want a rotation past the first", seqs)
+	}
+	if err := a.journal.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	a.Close()
+	if seqs, _ := listSegments(mem, dir); len(seqs) != 1 {
+		t.Fatalf("segments after compaction = %v, want just the active one", seqs)
+	}
 
-	st, _, err := ReplaySegmented(dir)
+	st, _, err := ReplaySegmentedFS(mem, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +298,7 @@ func TestSchedulerSegmentedJournalRecovery(t *testing.T) {
 	var mu sync.Mutex
 	measured := make(map[string]bool)
 	b, err := New(newTestSystem(t), Config{
-		Workers: 1, JournalDir: dir, SegmentMaxRecords: 4,
+		Workers: 1, JournalDir: dir, FS: mem,
 		ProfilerMiddleware: func(inner profiler.Profiler) profiler.Profiler {
 			return profilerFunc(func(j workload.Job, d cloud.Deployment) profiler.Result {
 				mu.Lock()
@@ -326,7 +341,7 @@ func TestSchedulerSegmentedJournalRecovery(t *testing.T) {
 // without any explicit call.
 func TestSegmentedBackgroundCompaction(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "jnl")
-	j, err := OpenSegmented(SegmentedConfig{Dir: dir, MaxRecords: 4, CompactEvery: 10 * time.Millisecond})
+	j, _, err := OpenSegmented(SegmentedConfig{Dir: dir, MaxRecords: 4, CompactEvery: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,5 +362,125 @@ func TestSegmentedBackgroundCompaction(t *testing.T) {
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecoverCompactsByDefault: a scheduler whose config sets only
+// JournalDir runs its journal's compaction loop, once a minute.
+func TestRecoverCompactsByDefault(t *testing.T) {
+	s, err := Recover(newTestSystem(t), Config{JournalDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.journal.stop == nil || s.journal.cfg.CompactEvery != time.Minute {
+		t.Fatalf("compaction loop running = %t at cadence %v, want a loop every minute",
+			s.journal.stop != nil, s.journal.cfg.CompactEvery)
+	}
+}
+
+// TestSegmentedCompactDeletesCoveredSegments: a segment the snapshot
+// already covers, left behind by a crash between an earlier
+// compaction's rename and its deletes, is deleted by the next
+// compaction, and an open never appends to it (every replay would skip
+// the record).
+func TestSegmentedCompactDeletesCoveredSegments(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		segs []int // on disk beside a snapshot covering segment 1
+	}{
+		{"covered and active", []int{1, 2}},
+		{"covered only", []int{1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "jnl")
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := writeSnapshot(faultfs.OS{}, dir, snapshotFile{
+				Version: 1, Through: 1, MaxID: 1,
+				Subs: []RecoveredSub{{ID: "job-0001", Job: "resnet-cifar10", Tenant: "a"}},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			lines := map[int]string{ // segment 1 is folded into the snapshot already
+				1: `{"type":"submit","id":"job-0001","job":"resnet-cifar10","tenant":"a"}` + "\n",
+				2: `{"type":"health"}` + "\n",
+			}
+			for _, seq := range tc.segs {
+				if err := os.WriteFile(segPath(dir, seq), []byte(lines[seq]), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			j, st, err := OpenSegmented(SegmentedConfig{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = j.Close() }()
+			if len(st.Subs) != 1 || st.Subs[0].ID != "job-0001" {
+				t.Fatalf("opened state = %+v, want job-0001 once", st.Subs)
+			}
+			for i := 2; i <= 4; i++ {
+				if err := j.append(journalRecord{Type: "submit", ID: fmt.Sprintf("job-%04d", i), Job: "resnet-cifar10", Tenant: "a"}); err != nil {
+					t.Fatal(err)
+				}
+				if err := j.Compact(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			seqs, err := listSegments(faultfs.OS{}, dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, err := readSnapshot(faultfs.OS{}, dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(seqs) != 1 || seqs[0] != snap.Through+1 {
+				t.Fatalf("segments = %v with the snapshot through %d, want only the active one", seqs, snap.Through)
+			}
+			replayed, _, err := ReplaySegmented(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(replayed.Subs) != 4 || replayed.MaxID != 4 {
+				t.Fatalf("replayed %d subs, MaxID %d; want job-0001 through job-0004", len(replayed.Subs), replayed.MaxID)
+			}
+		})
+	}
+}
+
+// TestSegmentedCompactRetriesFailedRemove: a compaction whose Remove of
+// a covered segment fails reports it, and the next compaction deletes
+// the segment, with no new record in between.
+func TestSegmentedCompactRetriesFailedRemove(t *testing.T) {
+	inj := faultfs.NewInjector(faultfs.NewMem(), nil)
+	j, _, err := OpenSegmented(SegmentedConfig{Dir: "jdir", FS: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = j.Close() }()
+	if err := j.append(journalRecord{Type: "submit", ID: "job-0001", Job: "resnet-cifar10", Tenant: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	inj.SetPlan([]faultfs.Fault{{Op: faultfs.OpRemove, Path: "seg-", Mode: faultfs.ModeEIO, Nth: 1}})
+	if err := j.Compact(); !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("compaction over a failing Remove = %v, want the injected EIO", err)
+	}
+	if seqs, _ := listSegments(inj, "jdir"); len(seqs) != 2 {
+		t.Fatalf("segments = %v, want the covered one left behind", seqs)
+	}
+	if err := j.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if seqs, _ := listSegments(inj, "jdir"); len(seqs) != 1 || seqs[0] != 2 {
+		t.Fatalf("segments after the retry = %v, want only the active segment 2", seqs)
+	}
+	st, _, err := ReplaySegmentedFS(inj, "jdir")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Subs) != 1 || st.Subs[0].ID != "job-0001" {
+		t.Fatalf("replayed subs = %+v, want job-0001", st.Subs)
 	}
 }

@@ -9,8 +9,8 @@ import (
 // Shard health: the plane probes every shard's journal on a cadence
 // (sched.Scheduler.ProbeJournal appends and fsyncs a no-op health
 // record) and folds in the shard's own consecutive append-failure
-// streak from real traffic. DegradedAfter consecutive failures flip the
-// shard to degraded: the ring stops placing NEW tenants on it, and
+// streak from real traffic. DefaultDegradedAfter consecutive failures
+// flip the shard to degraded: the ring stops placing NEW tenants on it, and
 // submissions from its existing tenants are refused with
 // ErrShardDegraded (the API layer turns that into 503 + Retry-After)
 // rather than silently accepted into a scheduler that cannot persist
@@ -84,7 +84,7 @@ func (p *Plane) checkShard(i int) {
 		streak = n
 	}
 	switch {
-	case !h.degraded && streak >= p.degradedAfter:
+	case !h.degraded && streak >= DefaultDegradedAfter:
 		h.degraded = true
 		p.degradedTotal[i].Inc()
 		p.healthyGauge[i].Set(0)

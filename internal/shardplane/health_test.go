@@ -21,11 +21,10 @@ func faultPlane(t *testing.T) (*Plane, *faultfs.Injector) {
 	inj := faultfs.NewInjector(faultfs.NewMem(), rand.New(rand.NewSource(1)))
 	p, err := New(newTestSystem(t), Config{
 		Shards: 2, Workers: 1,
-		JournalDir:    "plane",
-		FS:            inj,
-		MergeEvery:    -1,
-		HealthEvery:   -1,
-		DegradedAfter: 3,
+		JournalDir:  "plane",
+		FS:          inj,
+		MergeEvery:  -1,
+		HealthEvery: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +157,7 @@ func TestAllShardsDegradedRefuses(t *testing.T) {
 
 // TestRingShardExcluding pins the fallback-placement contract.
 func TestRingShardExcluding(t *testing.T) {
-	r := NewRing(3, 64)
+	r := NewRing(3)
 	none := func(int) bool { return false }
 	for _, tenant := range []string{"a", "b", "c", "acme", ""} {
 		if got, want := r.ShardExcluding(tenant, none), r.Shard(tenant); got != want {

@@ -112,7 +112,7 @@ func TestPlaneShutdownNoGoroutineLeak(t *testing.T) {
 // compaction loops, and none of them ever started a worker.
 func TestNewFailureNoGoroutineLeak(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "plane")
-	cfg := Config{Shards: 4, Workers: 2, JournalDir: dir, CompactEvery: time.Hour}
+	cfg := Config{Shards: 4, Workers: 2, JournalDir: dir}
 	h := newHold()
 	cfg.ProfilerMiddleware = h.middleware
 	p, err := New(newTestSystem(t), cfg)
@@ -143,4 +143,45 @@ func TestNewFailureNoGoroutineLeak(t *testing.T) {
 		t.Errorf("%d probes ran during failed starts", n)
 	}
 	awaitGoroutines(t, baseline)
+}
+
+// awaitCompactLoops polls until exactly want journal compaction loops
+// are running in the process, and reports how many last ran. A loop
+// goroutine shows in the stacks once it has started.
+func awaitCompactLoops(want int) int {
+	buf := make([]byte, 1<<20)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		n := runtime.Stack(buf, true)
+		if n == len(buf) {
+			buf = make([]byte, 2*len(buf))
+			continue
+		}
+		got := strings.Count(string(buf[:n]), ".(*SegmentedJournal).compactLoop(")
+		if got == want || time.Now().After(deadline) {
+			return got
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestPlaneShardsCompactByDefault: every shard of a journaled plane runs
+// its journal's compaction loop with no option set, and Close stops
+// them all.
+func TestPlaneShardsCompactByDefault(t *testing.T) {
+	before := awaitCompactLoops(0)
+	p, err := New(newTestSystem(t), Config{
+		Shards: 3, Workers: 1, JournalDir: t.TempDir(), MergeEvery: -1, HealthEvery: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := awaitCompactLoops(before+3) - before; got != 3 {
+		p.Close()
+		t.Fatalf("%d compaction loops for 3 journaled shards", got)
+	}
+	p.Close()
+	if got := awaitCompactLoops(before) - before; got != 0 {
+		t.Fatalf("%d compaction loops still running after Close", got)
+	}
 }

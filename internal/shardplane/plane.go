@@ -21,8 +21,8 @@ import (
 
 // Config assembles a Plane. It is also mlcdapi.ServerConfig, the HTTP
 // service's configuration: there Shards < 2 runs one scheduler instead
-// of a plane, journaling straight into JournalDir, and MergeEvery,
-// HealthEvery and DegradedAfter apply to the plane only.
+// of a plane, journaling straight into JournalDir, and MergeEvery and
+// HealthEvery apply to the plane only.
 type Config struct {
 	// Shards is the number of independent scheduler shards (default 2).
 	Shards int
@@ -34,13 +34,10 @@ type Config struct {
 	// predefined workload).
 	Jobs map[string]workload.Job
 	// JournalDir enables per-shard segmented journals under
-	// JournalDir/shard-N ("" → no journaling). A restarted plane — even
-	// one restarted with a different shard count — replays each shard
-	// directory it finds.
+	// JournalDir/shard-N ("" → no journaling), each compacting itself
+	// every minute. A restarted plane — even one restarted with a
+	// different shard count — replays each shard directory it finds.
 	JournalDir string
-	// CompactEvery is each shard journal's background compaction cadence
-	// (0 = on demand only).
-	CompactEvery time.Duration
 	// MergeEvery is the cache snapshot merge cadence (0 → 1s; < 0
 	// disables the loop — tests then drive MergeNow explicitly).
 	MergeEvery time.Duration
@@ -53,9 +50,6 @@ type Config struct {
 	// HealthEvery is the journal health-probe cadence (0 → 1s; < 0
 	// disables the loop — tests then drive CheckHealth explicitly).
 	HealthEvery time.Duration
-	// DegradedAfter is how many consecutive journal failures degrade a
-	// shard (0 → DefaultDegradedAfter).
-	DegradedAfter int
 	// FleetPrior enables the fleet meta-prior on every shard: each merge
 	// aggregates the union of all shards' full-fidelity measurements into
 	// cross-job transfer curves and publishes them fleet-wide, so a new
@@ -84,8 +78,7 @@ type Plane struct {
 	sys       *mlcdsys.System
 	shardCfgs []sched.Config // rebuild templates for RestartShard
 
-	health        []*shardHealthRec
-	degradedAfter int
+	health []*shardHealthRec
 
 	// fleetResolve is non-nil when the fleet meta-prior is on: it maps a
 	// cache key's job back to its model family when merges rebuild the
@@ -139,15 +132,11 @@ func New(sys *mlcdsys.System, cfg Config) (*Plane, error) {
 	if cfg.Jobs == nil {
 		cfg.Jobs = sched.DefaultMenu()
 	}
-	if cfg.DegradedAfter <= 0 {
-		cfg.DegradedAfter = DefaultDegradedAfter
-	}
 	reg := sys.Metrics()
 	p := &Plane{
-		ring:          NewRing(cfg.Shards, 0),
-		traces:        obs.NewRecorder(0),
-		sys:           sys,
-		degradedAfter: cfg.DegradedAfter,
+		ring:   NewRing(cfg.Shards),
+		traces: obs.NewRecorder(0),
+		sys:    sys,
 		merges: reg.Counter("mlcd_shardplane_snapshot_merges_total",
 			"Cache snapshot merges published to every shard."),
 		snapEntries: reg.Gauge("mlcd_shardplane_snapshot_entries",
@@ -176,7 +165,6 @@ func New(sys *mlcdsys.System, cfg Config) (*Plane, error) {
 			ProfilerMiddleware: cfg.ProfilerMiddleware,
 			IDPrefix:           fmt.Sprintf("s%d-job", i),
 			ShardLabel:         strconv.Itoa(i),
-			CompactEvery:       cfg.CompactEvery,
 			FS:                 cfg.FS,
 		}
 		if cfg.JournalDir != "" {

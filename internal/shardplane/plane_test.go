@@ -180,7 +180,7 @@ func TestCrossShardWarmStartSurvivesReshard(t *testing.T) {
 
 	// A tenant that moves when the ring grows 2 → 3 shards (consistent
 	// hashing guarantees it moves TO the new shard 2).
-	ring2, ring3 := NewRing(2, 0), NewRing(3, 0)
+	ring2, ring3 := NewRing(2), NewRing(3)
 	tenant := ""
 	for i := 0; i < 100000; i++ {
 		cand := fmt.Sprintf("tenant-%d", i)

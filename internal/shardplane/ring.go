@@ -28,14 +28,13 @@ import (
 const DefaultReplicas = 512
 
 // Ring is a consistent-hash ring: Shards() shards, each owning
-// Replicas() virtual points on a 64-bit circle. Tenant lookups walk
+// DefaultReplicas virtual points on a 64-bit circle. Tenant lookups walk
 // clockwise to the first point. The ring is immutable after
 // construction — churn is modeled by building a ring with a different
 // shard count and comparing, which is what the plane does on reshard.
 type Ring struct {
-	shards   int
-	replicas int
-	points   []ringPoint // sorted by hash
+	shards int
+	points []ringPoint // sorted by hash
 }
 
 type ringPoint struct {
@@ -43,18 +42,15 @@ type ringPoint struct {
 	shard int
 }
 
-// NewRing builds a ring of n shards with r virtual nodes each
-// (r <= 0 → DefaultReplicas). n must be >= 1.
-func NewRing(n, r int) *Ring {
+// NewRing builds a ring of n shards with DefaultReplicas virtual nodes
+// each. n must be >= 1.
+func NewRing(n int) *Ring {
 	if n < 1 {
 		panic("shardplane: ring needs at least one shard")
 	}
-	if r <= 0 {
-		r = DefaultReplicas
-	}
-	ring := &Ring{shards: n, replicas: r, points: make([]ringPoint, 0, n*r)}
+	ring := &Ring{shards: n, points: make([]ringPoint, 0, n*DefaultReplicas)}
 	for shard := 0; shard < n; shard++ {
-		for v := 0; v < r; v++ {
+		for v := 0; v < DefaultReplicas; v++ {
 			h := hash64(fmt.Sprintf("shard-%d#%d", shard, v))
 			ring.points = append(ring.points, ringPoint{hash: h, shard: shard})
 		}
@@ -90,9 +86,6 @@ func hash64(s string) uint64 {
 
 // Shards returns the shard count.
 func (r *Ring) Shards() int { return r.shards }
-
-// Replicas returns the virtual-node count per shard.
-func (r *Ring) Replicas() int { return r.replicas }
 
 // Shard maps a tenant to its shard: the first virtual node clockwise
 // from the tenant's hash. The empty tenant is a valid key (anonymous

@@ -9,7 +9,7 @@ import (
 // of (tenant, shard count, replicas) — two independently built rings
 // must agree on every key.
 func TestRingDeterministic(t *testing.T) {
-	a, b := NewRing(5, 0), NewRing(5, 0)
+	a, b := NewRing(5), NewRing(5)
 	for i := 0; i < 10000; i++ {
 		tenant := fmt.Sprintf("tenant-%d", i)
 		if a.Shard(tenant) != b.Shard(tenant) {
@@ -26,7 +26,7 @@ func TestRingDeterministic(t *testing.T) {
 func TestRingDistributionSkew(t *testing.T) {
 	const tenants = 1_000_000
 	const shards = 8
-	r := NewRing(shards, 0)
+	r := NewRing(shards)
 	counts := make([]int, shards)
 	for i := 0; i < tenants; i++ {
 		counts[r.Shard(fmt.Sprintf("tenant-%07d", i))]++
@@ -49,7 +49,7 @@ func TestRingDistributionSkew(t *testing.T) {
 func TestRingChurnBounded(t *testing.T) {
 	const tenants = 200_000
 	const n = 8
-	old, grown := NewRing(n, 0), NewRing(n+1, 0)
+	old, grown := NewRing(n), NewRing(n+1)
 	moved := 0
 	for i := 0; i < tenants; i++ {
 		tenant := fmt.Sprintf("tenant-%07d", i)
@@ -74,7 +74,7 @@ func TestRingChurnBounded(t *testing.T) {
 
 	// Shrinking is the mirror image: only the removed shard's tenants
 	// move (shard n-1 is the one NewRing(n-1) no longer has).
-	shrunk := NewRing(n-1, 0)
+	shrunk := NewRing(n - 1)
 	for i := 0; i < tenants; i++ {
 		tenant := fmt.Sprintf("tenant-%07d", i)
 		a, b := old.Shard(tenant), shrunk.Shard(tenant)

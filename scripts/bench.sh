@@ -54,20 +54,23 @@ go test -run '^$' -bench 'BenchmarkNextCandidate$' -benchtime 1000x -count=3 ./i
 # journal's FS indirection over a direct append, and each four-lane
 # kernel over its scalar path (the Matérn map over 256 values, a 24×24
 # Cholesky factor, the ARD distances of 300 pairs). A pair's two
-# benchmarks run in the same `go test` process, ten rounds of one run
-# each, so a slow spell on a shared machine tends to land on both sides
-# rather than on one side's consecutive samples; benchgate keeps each
-# side's minimum.
-pair() { # package, benchtime, base benchmark, candidate benchmark
-	echo "bench.sh: pair $3 / $4" >&2
+# benchmarks run in the same `go test` process, ten rounds; each round
+# runs each side ten times for 2000 iterations, a few milliseconds, and
+# benchgate keeps each side's minimum over its 100 runs. Short runs let
+# that minimum find the moments a contended CPU runs the benchmark
+# alone: on 2 vCPUs beside two CPU-bound processes, one 20000-iteration
+# run per side and round failed the journal pair's 500 ns bound in 7 of
+# 30 sections, this layout in none of 27.
+pair() { # package, base benchmark, candidate benchmark
+	echo "bench.sh: pair $2 / $3" >&2
 	for round in 1 2 3 4 5 6 7 8 9 10; do
-		go test -run '^$' -bench "$3\$|$4\$" -benchtime "$2" -count=1 "$1" >>"$RAW"
+		go test -run '^$' -bench "$2\$|$3\$" -benchtime 2000x -count=10 "$1" >>"$RAW"
 	done
 }
-pair ./internal/sched/ 20000x BenchmarkJournalAppendDirect BenchmarkJournalAppend
-pair ./internal/gp/ 20000x BenchmarkMaternScalar BenchmarkMaternBatch
-pair ./internal/mat/ 20000x BenchmarkCholeskyScalar BenchmarkCholeskyLanes
-pair ./internal/gp/ 20000x BenchmarkARDScalar BenchmarkARDLanes
+pair ./internal/sched/ BenchmarkJournalAppendDirect BenchmarkJournalAppend
+pair ./internal/gp/ BenchmarkMaternScalar BenchmarkMaternBatch
+pair ./internal/mat/ BenchmarkCholeskyScalar BenchmarkCholeskyLanes
+pair ./internal/gp/ BenchmarkARDScalar BenchmarkARDLanes
 
 go run ./cmd/benchgate fmt -out "$OUT" <"$RAW"
 
