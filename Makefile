@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race cover cover-update bench conformance multifidelity fleet loadgen loadgen-kill crashstorm ci clean
+.PHONY: all vet build test race cover cover-update bench bench-ab conformance multifidelity fleet loadgen loadgen-kill crashstorm ci clean
 
 all: ci
 
@@ -32,10 +32,19 @@ bench:
 # BenchmarkNextCandidate fails the build, as does more than 2% (or
 # 500ns, whichever is larger) of fault-free FS-indirection overhead on
 # the journal append pair, or of a four-lane kernel (Matérn map,
-# Cholesky factor, ARD distances) over its scalar path. bench.sh runs
-# each pair's two benchmarks together, ten rounds.
+# lockstep Cholesky factor and solve, ARD distances) over its scalar
+# path. bench.sh runs each pair's two benchmarks together, ten rounds.
 bench-compare:
 	sh scripts/bench_compare.sh
+
+# bench-ab runs ctrlbench on this working tree and on BASE, alternated
+# per seed on one machine, and prints paired end-to-end metrics,
+# medians, quartiles and win counts (scripts/ctrlbench_ab.sh), e.g.
+#   make bench-ab BASE=main WORKLOAD=warm-rerun SEEDS="1 2 3"
+# WORKLOAD and SEEDS left unset take the script's defaults.
+bench-ab:
+	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<rev> [WORKLOAD=...] [SEEDS=...]" >&2; exit 2; }
+	bash scripts/ctrlbench_ab.sh "$(BASE)" "$(WORKLOAD)" "$(SEEDS)"
 
 cover-update:
 	sh scripts/cover.sh --update

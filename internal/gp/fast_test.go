@@ -284,6 +284,55 @@ func TestPredictMatrixZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestScratchGrowsGeometrically replays a search's surrogate traffic,
+// one more observation per step, each step a refit and a sweep of 95
+// candidates through one PredictMatrixScratch, and counts the backing
+// arrays the sweep's cross-kernel block and the refit's kernel matrix
+// go through: the block grows a row per step and the matrix a row and a
+// column, so each must be reallocated O(log n) times, not once a step.
+func TestScratchGrowsGeometrically(t *testing.T) {
+	const steps, m, dim = 64, 95, 5
+	rng := rand.New(rand.NewSource(31))
+	qs := make([]float64, m*dim)
+	for i := range qs {
+		qs[i] = rng.NormFloat64()
+	}
+	mu, sigma := make([]float64, m), make([]float64, m)
+	g := New(NewMatern52(dim), 1e-4)
+	var (
+		s             PredictMatrixScratch
+		xs            [][]float64
+		ys            []float64
+		block, kmat   *float64
+		blocks, kmats int
+	)
+	for n := 1; n <= steps; n++ {
+		x := make([]float64, dim)
+		for d := range x {
+			x[d] = rng.NormFloat64()
+		}
+		xs, ys = append(xs, x), append(ys, rng.NormFloat64())
+		// Fresh hyperparameters each step force the full refactor, as a
+		// refit's install does.
+		g.kernel.SetParams(append([]float64{0.1 * float64(n%3)}, 0, 0, 0, 0, 0))
+		if err := g.Fit(xs, ys); err != nil {
+			t.Fatal(err)
+		}
+		g.PredictMatrix(qs, dim, mu, sigma, &s)
+		if p := &s.ks.Row(0)[0]; p != block {
+			block, blocks = p, blocks+1
+		}
+		if p := &g.kmat.Row(0)[0]; p != kmat {
+			kmat, kmats = p, kmats+1
+		}
+	}
+	// Doubling from one row reaches 64 rows in 7 arrays; the matrix's
+	// n² entries need about twice as many doublings.
+	if blocks > 8 || kmats > 14 {
+		t.Fatalf("over %d steps the sweep block took %d arrays and the kernel matrix %d; want O(log n)", steps, blocks, kmats)
+	}
+}
+
 // FuzzPredictMatrix drives the batch posterior with fuzzer-chosen sizes
 // and seeds, asserting bit equality with the serial path — the same
 // harness shape FuzzCholeskyExtend uses for the incremental factor.

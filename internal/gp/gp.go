@@ -73,6 +73,8 @@ type GP struct {
 	factorN      int       // observation count the current factor covers (-1 = stale)
 	factorJitter float64   // diagonal jitter the current factor succeeded at
 	factorParams []float64 // kernel params + logNoise at factorization time
+
+	fit *fitter // FitMLE's four-lane likelihood, kept across fits for its buffers
 }
 
 // New returns a GP using kernel k and observation-noise variance noise
@@ -353,7 +355,7 @@ func (g *GP) buildK(n int) {
 	// i's pairs (i, 0..i) are copied out.
 	tri := n * (n + 1) / 2
 	if cap(g.triBuf) < tri {
-		g.triBuf = make([]float64, tri)
+		g.triBuf = make([]float64, 0, 2*tri) // n grows by one per refit
 	}
 	g.triBuf = g.triBuf[:tri]
 	g.kernel.evalDiffBatch(g.triBuf, g.diffs.data[:tri*g.diffs.dim])
@@ -521,8 +523,14 @@ func (g *GP) LogMarginalLikelihood() float64 {
 	if g.chol == nil {
 		panic(ErrNoData)
 	}
-	n := float64(len(g.yStd))
-	return -0.5*mat.Dot(g.yStd, g.alpha) - 0.5*g.chol.LogDet() - 0.5*n*math.Log(2*math.Pi)
+	return logMarginal(mat.Dot(g.yStd, g.alpha), g.chol.LogDet(), len(g.yStd))
+}
+
+// logMarginal is the log marginal likelihood of n standardized targets
+// y given yᵀ(K+σ²I)⁻¹y and log|K+σ²I|: the one expression both the
+// scalar and the four-lane objective evaluate.
+func logMarginal(yAlpha, logDet float64, n int) float64 {
+	return -0.5*yAlpha - 0.5*logDet - 0.5*float64(n)*math.Log(2*math.Pi)
 }
 
 // The hyperparameter fit's one protocol: fitStarts Nelder–Mead starts of
@@ -537,10 +545,19 @@ const (
 // log marginal likelihood with optim.MultiStart. The GP must already
 // have been Fit with data. rng must not be nil.
 //
-// Each of MultiStart's goroutines evaluates the likelihood on a private
-// clone of the GP (cloned kernel, shared read-only data and difference
-// cache), so the chosen hyperparameters, the rng stream, and therefore
-// every downstream decision are bit-identical at any GOMAXPROCS.
+// Where mat's four-lane kernels are armed, the fitStarts starts step in
+// lockstep as one group on one goroutine, so each likelihood call
+// evaluates their pending hyperparameter vectors together
+// (fitter.eval). Elsewhere each start is a group of one, each
+// goroutine evaluates mleObjective on a private clone of the GP
+// (cloned kernel, shared read-only data and difference cache), and the
+// groups run in parallel. Each value is mleObjective's to the bit and a
+// start's trajectory depends only on its own values, so the chosen
+// hyperparameters, the rng stream and every downstream decision are the
+// same at any GOMAXPROCS, with the kernels armed or not. The group does
+// not depend on the order (DESIGN.md §9): it costs less CPU than a
+// group per start at every order measured, but a lone fit leaves an
+// idle second core unused, where a group per start spread over it.
 func (g *GP) FitMLE(rng *rand.Rand) error {
 	if g.chol == nil {
 		panic(ErrNoData)
@@ -549,9 +566,26 @@ func (g *GP) FitMLE(rng *rand.Rand) error {
 	x0 := append(g.kernel.Params(), g.logNoise)
 	lo := append(append([]float64(nil), kb.Lo...), math.Log(1e-8))
 	hi := append(append([]float64(nil), kb.Hi...), math.Log(1e-1))
-	nk := len(g.kernel.Params())
-	newObjective := func() optim.Objective { return g.cloneForFit().mleObjective(nk) }
-	res := optim.MultiStart(newObjective, x0, optim.Bounds{Lo: lo, Hi: hi}, fitStarts, rng,
+	nk := len(x0) - 1
+	group, newObjective := 1, func() optim.BatchObjective {
+		f := g.cloneForFit().mleObjective(nk)
+		return func(ps [][]float64, out []float64) {
+			for l, p := range ps {
+				out[l] = f(p)
+			}
+		}
+	}
+	if mat.LanesArmed() {
+		if g.fit == nil {
+			g.fit = &fitter{}
+		}
+		// One group, so MultiStart builds one objective.
+		group, newObjective = fitStarts, func() optim.BatchObjective {
+			g.fit.bind(g, nk)
+			return g.fit.eval
+		}
+	}
+	res := optim.MultiStart(newObjective, x0, optim.Bounds{Lo: lo, Hi: hi}, fitStarts, group, rng,
 		optim.NelderMeadOpts{MaxIter: fitMaxIter})
 
 	// Install the winner and leave the GP conditioned on it.
@@ -562,7 +596,8 @@ func (g *GP) FitMLE(rng *rand.Rand) error {
 
 // mleObjective returns the negative log marginal likelihood as a function
 // of the packed hyperparameter vector (nk kernel parameters, then the log
-// noise), evaluated by mutating g.
+// noise), evaluated by mutating g: the scalar objective, which the
+// four-lane one replays and falls back on.
 func (g *GP) mleObjective(nk int) optim.Objective {
 	return func(p []float64) float64 {
 		g.kernel.SetParams(p[:nk])
@@ -591,5 +626,71 @@ func (g *GP) cloneForFit() *GP {
 		priorMu:  g.priorMu,
 		diffs:    g.diffs,
 		factorN:  -1,
+	}
+}
+
+// fitter evaluates one GP's negative log marginal likelihood at up to
+// four hyperparameter vectors per call, where mat.LanesArmed. Each lane
+// sets its own kernel's parameters and evaluates its kernel triangle
+// from the shared difference cache (evalDiffBatch); then
+// mat.LaneCholesky factors every lane's K + σ²I, solves each against the
+// shared targets for yᵀα and sums each log-determinant, all replaying
+// the scalar loops, and the likelihood is logMarginal's, so every
+// lane's value is mleObjective's bit for bit. A lane whose pivot fails,
+// where mleObjective would escalate the jitter, or whose value is NaN,
+// whose payload the lanes need not share, is evaluated again by
+// mleObjective on a clone. A GP keeps its fitter, and so its buffers,
+// across fits.
+type fitter struct {
+	g      *GP
+	nk     int
+	kern   [optim.MaxLanes]Kernel
+	tris   []float64 // lane l's kernel triangle at [l·T, (l+1)·T), T = n(n+1)/2
+	chol   mat.LaneCholesky
+	scalar optim.Objective // mleObjective on a clone of g, built on first use
+}
+
+// bind points f at g's current data for the next fit.
+func (f *fitter) bind(g *GP, nk int) {
+	f.g, f.nk, f.scalar = g, nk, nil
+	if f.kern[0] == nil {
+		for l := range f.kern {
+			f.kern[l] = g.kernel.Clone()
+		}
+	}
+}
+
+// eval writes the negative log marginal likelihood at ps[l] to out[l].
+func (f *fitter) eval(ps [][]float64, out []float64) {
+	g := f.g
+	n := len(g.x)
+	tri := n * (n + 1) / 2
+	diffs := g.diffs.data[:tri*g.diffs.dim]
+	if cap(f.tris) < optim.MaxLanes*tri {
+		f.tris = make([]float64, 0, 2*optim.MaxLanes*tri)
+	}
+	f.tris = f.tris[:optim.MaxLanes*tri]
+	var shifts, yAlpha, logDet [4]float64
+	for l, p := range ps {
+		k := f.kern[l]
+		k.SetParams(p[:f.nk])
+		shifts[l] = math.Exp(p[f.nk]) // the jitter refactor starts from
+		k.evalDiffBatch(f.tris[l*tri:(l+1)*tri], diffs)
+	}
+	failed := f.chol.Factor(f.tris, n, len(ps), &shifts)
+	f.chol.SolveDot(g.yStd, &yAlpha)
+	f.chol.LogDets(&logDet)
+	for l, p := range ps {
+		v := math.NaN()
+		if failed&(1<<l) == 0 {
+			v = -logMarginal(yAlpha[l], logDet[l], n)
+		}
+		if math.IsNaN(v) {
+			if f.scalar == nil {
+				f.scalar = g.cloneForFit().mleObjective(f.nk)
+			}
+			v = f.scalar(p)
+		}
+		out[l] = v
 	}
 }

@@ -4,7 +4,7 @@ package mat
 // external tests, which drive them through internal/gp; restore puts the
 // start-up setting back.
 func DisarmLanes() (restore func()) {
-	c, s := cholArmed, solveArmed
-	cholArmed, solveArmed = false, false
-	return func() { cholArmed, solveArmed = c, s }
+	s, l := solveArmed, laneCholArmed
+	solveArmed, laneCholArmed = false, false
+	return func() { solveArmed, laneCholArmed = s, l }
 }

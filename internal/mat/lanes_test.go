@@ -36,40 +36,84 @@ func gramSE(n int, rng *rand.Rand) *Dense {
 	return a
 }
 
-// checkFactor factors a + shift·I with the left-looking loop and with
-// the kernel (order cutoff bypassed) and with CholeskyInto armed and
-// disarmed, and asserts the same failing column or, on success, the same
-// bits in every entry. It reports whether the factor succeeded.
-func checkFactor(t *testing.T, a *Dense, shift float64, label string) bool {
+// packLanes packs the lower triangles of mats, all of one order, one
+// lane after another, as LaneCholesky.Factor reads them.
+func packLanes(mats []*Dense) []float64 {
+	n := mats[0].rows
+	tri := n * (n + 1) / 2
+	tris := make([]float64, len(mats)*tri)
+	for l, a := range mats {
+		packLower(tris[l*tri:(l+1)*tri], a)
+	}
+	return tris
+}
+
+// checkLanes factors mats[l] + shifts[l]·I in lanes and each alone with
+// the left-looking loop, and solves each against y: a lane must fail
+// exactly where factorScalar fails, and a lane that factors must match
+// factorScalar in every entry's bits, SolveVecInto (the forward, then the
+// back solve) in every entry of its solution, and Dot and
+// Cholesky.LogDet in yᵀx and the log-determinant. It skips where the
+// kernels are not armed, and returns how many lanes factored.
+func checkLanes(t *testing.T, mats []*Dense, shifts []float64, y []float64, label string) int {
 	t.Helper()
-	n := a.rows
-	orig := append([]float64(nil), a.data...)
-	want := NewDense(n, n)
-	wc := factorScalar(want, a, shift)
-	if cholArmed {
-		got := randomDense(n, n, rand.New(rand.NewSource(int64(n)))) // stale contents
-		if gc := choleskyLanes(got.data, a.data, n, shift); gc != wc {
-			t.Fatalf("%s: n=%d shift=%v: kernel failed at column %d, scalar at %d", label, n, shift, gc, wc)
-		} else if wc == n {
-			sameFactorBits(t, got, want, label)
+	n, lanes := mats[0].rows, len(mats)
+	tris := packLanes(mats)
+	orig := append([]float64(nil), tris...)
+	var sh [4]float64
+	copy(sh[:], shifts)
+	if !laneCholArmed {
+		t.Skip("four-lane Cholesky not armed here")
+	}
+	var c LaneCholesky
+	failed := c.Factor(tris, n, lanes, &sh)
+	var ya, ld [4]float64
+	c.SolveDot(y, &ya)
+	c.LogDets(&ld)
+	ok := 0
+	for l, a := range mats {
+		want := &Cholesky{n: n, l: NewDense(n, n)}
+		col := factorScalar(want.l, a, shifts[l])
+		if (failed>>l&1 == 1) != (col < n) {
+			t.Fatalf("%s: n=%d lane %d of %d: mask %04b, factorScalar column %d", label, n, l, lanes, failed, col)
+		}
+		if col < n {
+			continue
+		}
+		ok++
+		got := NewDense(n, n)
+		for i := 0; i < n; i++ {
+			for k := 0; k <= i; k++ {
+				got.Set(i, k, c.l[(i*(i+1)/2+k)*4+l])
+			}
+		}
+		sameFactorBits(t, got, want.l, label)
+		x := want.SolveVecInto(make([]float64, n), y)
+		for i, v := range x {
+			if g := c.w[4*i+l]; !sameResult(g, v) {
+				t.Fatalf("%s: n=%d lane %d: x[%d] = %v, SolveVecInto %v", label, n, l, i, g, v)
+			}
+		}
+		if d := Dot(y, x); !sameResult(ya[l], d) {
+			t.Fatalf("%s: n=%d lane %d: yᵀx = %v, Dot %v", label, n, l, ya[l], d)
+		}
+		if w := want.LogDet(); !sameResult(ld[l], w) {
+			t.Fatalf("%s: n=%d lane %d: LogDets %v, Cholesky.LogDet %v", label, n, l, ld[l], w)
 		}
 	}
-	armed := cholArmed
-	defer func() { cholArmed = armed }()
-	for _, on := range []bool{armed, false} {
-		cholArmed = on
-		c, err := CholeskyInto(&Cholesky{n: n, l: randomDense(n, n, rand.New(rand.NewSource(1)))}, a, shift)
-		if (err == nil) != (wc == n) {
-			t.Fatalf("%s: n=%d shift=%v armed=%v: err %v, scalar column %d", label, n, shift, on, err, wc)
-		}
-		if err == nil {
-			sameFactorBits(t, c.l, want, label)
-		}
+	if !sameBits(tris, orig) {
+		t.Fatalf("%s: n=%d: the packed triangles were mutated", label, n)
 	}
-	if !sameBits(a.data, orig) {
-		t.Fatalf("%s: n=%d: the input matrix was mutated", label, n)
-	}
-	return wc == n
+	return ok
+}
+
+// sameResult reports whether got and want hold the same bits or are
+// both NaN. Which NaN an operation returns follows its operand order,
+// which the kernels do not promise to share with the compiled loops (a
+// race build orders Dot's operands differently); the GP reruns a lane
+// whose likelihood is NaN through the scalar path.
+func sameResult(got, want float64) bool {
+	return math.Float64bits(got) == math.Float64bits(want) || math.IsNaN(got) && math.IsNaN(want)
 }
 
 func sameFactorBits(t *testing.T, got, want *Dense, label string) {
@@ -82,40 +126,59 @@ func sameFactorBits(t *testing.T, got, want *Dense, label string) {
 	}
 }
 
-// TestCholeskyLanesMatchScalar pins the four-lane factor against the
-// left-looking loop at orders 1–40: well-conditioned matrices, singular
-// Gram matrices under the GP's jitter ladder (failing low on it,
-// succeeding higher), non-SPD matrices and negative shifts (same
-// error, same column), and entries at the arithmetic's edges.
+// laneRHS returns a right-hand side of order n with inexact entries
+// and, with edges set, some at the arithmetic's edges.
+func laneRHS(n int, rng *rand.Rand, edges bool) []float64 {
+	y := make([]float64, n)
+	for i := range y {
+		y[i] = rng.NormFloat64()
+		if edges && rng.Intn(8) == 0 {
+			y[i] = matEdges[rng.Intn(len(matEdges))]
+		}
+	}
+	return y
+}
+
+// TestCholeskyLanesMatchScalar pins the four-lane factor and solve
+// against the left-looking loop, SolveVecInto and Dot at orders 1–40
+// and 1–4 lanes: well-conditioned matrices, singular Gram matrices
+// under the GP's jitter ladder (lanes failing at different columns and
+// rungs, beside lanes that factor), non-SPD matrices and negative
+// shifts, and entries and right-hand sides at the arithmetic's edges.
+// Disarmed, the GP never calls the kernels; gp_ext_test.go's
+// TestFitMLECatalogMatLanesMatchScalar covers the fit's scalar path.
 func TestCholeskyLanesMatchScalar(t *testing.T) {
-	t.Logf("four-lane Cholesky armed: %v", cholArmed)
 	rng := rand.New(rand.NewSource(61))
 	failed, ok := 0, 0
 	for n := 1; n <= 40; n++ {
-		checkFactor(t, randomSPD(n, rng), rng.Float64(), "spd")
-		checkFactor(t, randomSPD(n, rng), -float64(n)*rng.Float64()*4, "negative shift")
-		g := gramSE(n, rng)
-		for jitter := 1e-18; jitter < 1; jitter *= 10 {
-			if checkFactor(t, g, jitter, "jitter ladder") {
-				ok++
-			} else {
-				failed++
+		for lanes := 1; lanes <= 4; lanes++ {
+			mats := make([]*Dense, lanes)
+			shifts := make([]float64, lanes)
+			for l := range mats {
+				switch rng.Intn(4) {
+				case 0:
+					mats[l], shifts[l] = randomSPD(n, rng), rng.Float64()
+				case 1:
+					mats[l], shifts[l] = randomSPD(n, rng), -float64(n)*rng.Float64()*4
+				case 2:
+					mats[l], shifts[l] = gramSE(n, rng), math.Pow(10, -18+17*rng.Float64())
+				default:
+					e := randomSPD(n, rng)
+					for k := 0; k < 1+n/4; k++ {
+						i, j := rng.Intn(n), rng.Intn(n)
+						e.Set(max(i, j), min(i, j), matEdges[rng.Intn(len(matEdges))])
+					}
+					mats[l], shifts[l] = e, 0.5
+				}
 			}
-		}
-		sym := randomDense(n, n, rng)
-		checkFactor(t, sym, 0, "random symmetric")
-		for trial := 0; trial < 3; trial++ {
-			e := randomSPD(n, rng)
-			for k := 0; k < 1+n/4; k++ {
-				i, j := rng.Intn(n), rng.Intn(n)
-				e.Set(max(i, j), min(i, j), matEdges[rng.Intn(len(matEdges))])
-			}
-			checkFactor(t, e, 0.5, "edge entries")
+			got := checkLanes(t, mats, shifts, laneRHS(n, rng, lanes == 4), "mixed")
+			ok, failed = ok+got, failed+lanes-got
+			checkLanes(t, []*Dense{randomDense(n, n, rng)}, []float64{0}, laneRHS(n, rng, false), "random symmetric")
 		}
 	}
-	t.Logf("jitter ladder: %d factors failed, %d succeeded", failed, ok)
+	t.Logf("%d lanes failed, %d factored", failed, ok)
 	if failed == 0 || ok == 0 {
-		t.Errorf("jitter ladder: %d factors failed and %d succeeded; want some of each", failed, ok)
+		t.Errorf("%d lanes failed and %d factored; want some of each", failed, ok)
 	}
 }
 
@@ -152,11 +215,12 @@ func TestForwardSolveLanesMatchScalar(t *testing.T) {
 }
 
 // TestCholeskyLanesArmedWhereSupported fails when the self-check
-// disarms the factor kernel on a CPU that has AVX2: that is a kernel
-// that no longer matches factorScalar, which every other test would then
-// miss by running the scalar path.
+// disarms the four-lane factor and solve on a CPU that has AVX2: that
+// is a kernel that no longer matches factorScalar, which every other
+// test would then miss, since the likelihood falls back to the scalar
+// objective.
 func TestCholeskyLanesArmedWhereSupported(t *testing.T) {
-	if cpufeat.AVX2 && !cholArmed {
+	if cpufeat.AVX2 && !laneCholArmed {
 		t.Fatal("four-lane Cholesky disarmed: its self-check no longer matches factorScalar")
 	}
 }
@@ -169,10 +233,11 @@ func TestSolveLanesArmedWhereSupported(t *testing.T) {
 	}
 }
 
-// FuzzCholeskyLanes factors fuzzer-chosen matrices with the kernel and
-// the left-looking loop: orders 1–40, a Gram matrix of rank 1–n from the
-// fuzzer's seed, and a raw shift, so singular, non-SPD and NaN inputs
-// all occur. The failing column, or every entry's bits, must agree.
+// FuzzCholeskyLanes factors fuzzer-chosen systems in four lanes and
+// each alone: order 1–40, each lane a Gram matrix of rank 1–n from the
+// fuzzer's seed under the raw shift scaled by 10^(l−1), so singular,
+// non-SPD and NaN lanes occur beside lanes that factor. Failures, every
+// factor entry and every solve must agree.
 func FuzzCholeskyLanes(f *testing.F) {
 	f.Add(int64(1), uint8(24), 1e-6)
 	f.Add(int64(2), uint8(9), -0.5)
@@ -181,52 +246,79 @@ func FuzzCholeskyLanes(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, order uint8, shift float64) {
 		n := int(order%40) + 1
 		rng := rand.New(rand.NewSource(seed))
-		r := 1 + rng.Intn(n)
-		g := randomDense(n, r, rng)
-		a := NewDense(n, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j <= i; j++ {
-				a.Set(i, j, Dot(g.Row(i), g.Row(j)))
+		lanes := 1 + rng.Intn(4)
+		mats := make([]*Dense, lanes)
+		shifts := make([]float64, lanes)
+		for l := range mats {
+			r := 1 + rng.Intn(n)
+			g := randomDense(n, r, rng)
+			a := NewDense(n, n)
+			for i := 0; i < n; i++ {
+				for j := 0; j <= i; j++ {
+					a.Set(i, j, Dot(g.Row(i), g.Row(j)))
+				}
 			}
+			mats[l], shifts[l] = a, shift*math.Pow(10, float64(l-1))
 		}
-		checkFactor(t, a, shift, "fuzz")
+		checkLanes(t, mats, shifts, laneRHS(n, rng, true), "fuzz")
 	})
 }
 
-// benchOrder is the order the Cholesky pair factors.
+// benchOrder is the order the Cholesky pair factors: a mid-search
+// refit's.
 const benchOrder = 24
 
-// benchCholesky times refactoring a 24×24 matrix into reused storage.
-func benchCholesky(b *testing.B) {
-	a := randomSPD(benchOrder, rand.New(rand.NewSource(63)))
-	dst, err := CholeskyInto(nil, a, 1e-3)
-	if err != nil {
-		b.Fatal(err)
-	}
+// benchLanes returns three systems of order benchOrder, packed, with
+// their shifts and a right-hand side: one lockstep likelihood call's
+// inputs.
+func benchLanes() ([]*Dense, []float64, [4]float64, []float64) {
+	rng := rand.New(rand.NewSource(63))
+	mats := []*Dense{randomSPD(benchOrder, rng), randomSPD(benchOrder, rng), randomSPD(benchOrder, rng)}
+	return mats, packLanes(mats), [4]float64{1e-3, 1e-4, 1e-2}, laneRHS(benchOrder, rng, false)
+}
+
+// BenchmarkLaneCholeskyScalar factors and solves the three systems one
+// at a time as the scalar objective does: CholeskyInto into reused
+// storage, SolveVecInto, then Dot. It is the base of the -pair gate
+// that BenchmarkLaneCholesky may not exceed.
+func BenchmarkLaneCholeskyScalar(b *testing.B) {
+	mats, _, shifts, y := benchLanes()
+	dst := make([]*Cholesky, len(mats))
+	x := make([]float64, benchOrder)
+	var sink float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		CholeskyInto(dst, a, 1e-3)
+		for l, a := range mats {
+			c, err := CholeskyInto(dst[l], a, shifts[l])
+			if err != nil {
+				b.Fatal(err)
+			}
+			dst[l] = c
+			c.SolveVecInto(x, y)
+			sink += Dot(y, x)
+		}
 	}
+	_ = sink
 }
 
-// BenchmarkCholeskyScalar times the factor with the four-lane kernel
-// disarmed: the left-looking loop. It is the base of the -pair gate that
-// BenchmarkCholeskyLanes may not exceed.
-func BenchmarkCholeskyScalar(b *testing.B) {
-	armed := cholArmed
-	defer func() { cholArmed = armed }()
-	cholArmed = false
-	benchCholesky(b)
-}
-
-// BenchmarkCholeskyLanes times the same factor through the armed kernel
-// where the platform has one and the order reaches cholLanesMin (the
-// scalar loop otherwise); its armed metric says which ran.
-func BenchmarkCholeskyLanes(b *testing.B) {
-	benchCholesky(b)
-	armed := 0.0
-	if cholArmed && benchOrder >= cholLanesMin {
-		armed = 1
+// BenchmarkLaneCholesky times the same three systems in one four-lane
+// Factor and one SolveDot where the kernels are armed (the scalar loops
+// otherwise); its armed metric says which ran.
+func BenchmarkLaneCholesky(b *testing.B) {
+	if !laneCholArmed {
+		BenchmarkLaneCholeskyScalar(b)
+		b.ReportMetric(0, "armed")
+		return
 	}
-	b.ReportMetric(armed, "armed")
+	_, tris, shifts, y := benchLanes()
+	var c LaneCholesky
+	var ya [4]float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if c.Factor(tris, benchOrder, 3, &shifts) != 0 {
+			b.Fatal("a lane failed")
+		}
+		c.SolveDot(y, &ya)
+	}
+	b.ReportMetric(1, "armed")
 }

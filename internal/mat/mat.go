@@ -43,14 +43,18 @@ func (m *Dense) Row(i int) []float64 { return m.data[i*m.cols : (i+1)*m.cols] }
 // Reset resizes m to r×c, reusing its backing array when capacity
 // allows. The elements' values are unspecified afterwards: it is the
 // allocation-free counterpart of NewDense for scratch matrices whose
-// callers write every element they later read.
+// callers write every element they later read. A backing array that is
+// too small is replaced by one of at least twice its capacity: the GP's
+// scratch matrices grow a row at a time (the kernel matrix per refit,
+// the sweep's cross-kernel block per probe), and doubling keeps their
+// reallocations logarithmic in the final size.
 func (m *Dense) Reset(r, c int) {
 	if r <= 0 || c <= 0 {
 		panic(fmt.Sprintf("mat: invalid dimensions %d×%d", r, c))
 	}
 	n := r * c
 	if cap(m.data) < n {
-		m.data = make([]float64, n)
+		m.data = make([]float64, n, max(n, 2*cap(m.data)))
 	} else {
 		m.data = m.data[:n]
 	}
@@ -76,43 +80,28 @@ type Cholesky struct {
 }
 
 // CholeskyInto factors a + shift·I, writing the lower-triangular factor
-// into dst's storage when dst has the same order (a zero-allocation
-// refactor); otherwise it allocates. Only the lower triangle of a is
+// into dst's storage (resized with Reset when dst has another order), or
+// into a new factor when dst is nil. Only the lower triangle of a is
 // read, and a itself is never mutated, so the same pristine matrix can be
 // retried under an escalating shift. On ErrNotSPD the contents of the
-// returned factor are unspecified.
-//
-// Where the four-lane kernel is armed (lanes_amd64.go) and the order is
-// at least cholLanesMin, the factor is right-looking and in place
-// (choleskyLanes); otherwise it is the left-looking loop (factorScalar).
-// Both give the same bits in every entry, and fail on the same inputs at
-// the same column.
+// returned factor are unspecified. The factor is the left-looking loop
+// (factorScalar), which LaneCholesky replays lane by lane.
 func CholeskyInto(dst *Cholesky, a *Dense, shift float64) (*Cholesky, error) {
 	if a.rows != a.cols {
 		panic(fmt.Sprintf("mat: Cholesky of non-square %d×%d", a.rows, a.cols))
 	}
 	n := a.rows
-	if dst == nil || dst.n != n {
+	if dst == nil {
 		dst = &Cholesky{n: n, l: NewDense(n, n)}
+	} else if dst.n != n {
+		dst.n = n
+		dst.l.Reset(n, n)
 	}
-	var col int
-	if cholArmed && n >= cholLanesMin {
-		col = choleskyLanes(dst.l.data, a.data, n, shift)
-	} else {
-		col = factorScalar(dst.l, a, shift)
-	}
-	if col < n {
+	if factorScalar(dst.l, a, shift) < n {
 		return dst, ErrNotSPD
 	}
 	return dst, nil
 }
-
-// cholLanesMin is the smallest order factored in lanes. Below it the
-// kernel's per-column set-up eats its blocks of four: over six
-// interleaved rounds at each order from 5 to 36, its median ran from 3 %
-// behind the left-looking loop to 10 % ahead at orders 5–8, with single
-// rounds behind at 6 and 7, and 27–61 % ahead from order 9 up.
-const cholLanesMin = 9
 
 // factorScalar writes the lower-triangular factor of a + shift·I into l,
 // which has a's order, column by column (left-looking). It returns the

@@ -1,7 +1,10 @@
 // Package optim provides the derivative-free optimizer used to fit
 // Gaussian-process hyperparameters by maximizing the log marginal
-// likelihood: a bounded Nelder–Mead simplex, run from several starts in
-// parallel by MultiStart.
+// likelihood: a bounded Nelder–Mead simplex, written as a stepper that
+// asks for one point's value at a time, and MultiStart, which runs it
+// from several starts, stepping groups of starts in lockstep so that one
+// call evaluates a group's pending points together, and running the
+// groups in parallel.
 package optim
 
 import (
@@ -78,9 +81,13 @@ func (o NelderMeadOpts) withDefaults(dim int) NelderMeadOpts {
 	return o
 }
 
-// vertex is one simplex corner: a point and its objective value.
+// vertex is one simplex corner: the index of its point among the
+// search's buffers, and the point's objective value. It holds no
+// pointer, so sorting and replacing vertices write none: a pointer
+// write costs a write barrier while the collector runs, and a search
+// moves vertices on every evaluation.
 type vertex struct {
-	x []float64
+	p int
 	f float64
 }
 
@@ -116,16 +123,61 @@ func sortSimplex(s []vertex) {
 	}
 }
 
-// NelderMead minimizes f within bounds starting from x0.
-// Points proposed outside the box are clamped to it, which keeps the
-// method valid for the log-space hyperparameter boxes used by the GP.
-//
-// The GP hyperparameter refit evaluates this optimizer's objective
-// hundreds of times per observation, so candidate points are carried in
-// a small recycled buffer pool instead of fresh allocations; every
-// floating-point operation and comparison is unchanged, making the
-// trajectory identical to the allocating implementation.
-func NelderMead(f Objective, x0 []float64, bounds Bounds, opts NelderMeadOpts) Result {
+// The simplex coefficients.
+const (
+	alpha = 1.0 // reflection
+	gamma = 2.0 // expansion
+	rho   = 0.5 // contraction
+	sigma = 0.5 // shrink
+)
+
+// phase is where a stepper's search stands: which point it waits for.
+type phase uint8
+
+const (
+	building    phase = iota // vertex i of the initial simplex
+	reflecting               // the reflected point
+	expanding                // the expanded point, the reflected one held
+	contracting              // the contracted point, the reflected one held
+	shrinking                // vertex i shrunk toward the best
+	stopped
+)
+
+// spares is how many point buffers a search keeps beside its simplex:
+// an iteration holds at most two candidates at once (the reflected
+// point and its expansion or contraction).
+const spares = 2
+
+// stepper is one bounded Nelder–Mead search run an evaluation at a
+// time: pending returns the point whose value the search waits for
+// (nil once it has stopped) and tell hands that value in. Between two
+// tells it runs exactly the operations, comparisons and sorts of the
+// simplex loop (the package tests keep that loop as the reference), so
+// a search's points, its result and its evaluation count do not depend
+// on whether its values arrive one by one or beside other searches'.
+// Its points live in dim+1+spares buffers allocated at reset; vertices
+// and candidates refer to them by index.
+type stepper struct {
+	bounds   Bounds
+	opts     NelderMeadOpts
+	pts      [][]float64 // point buffers; pts[0] starts as the clamped start
+	simplex  []vertex
+	centroid []float64
+	// pool holds the spare buffers' indices: a discarded candidate and
+	// the evicted worst vertex both return here.
+	pool  [spares]int
+	npool int
+	x     int     // index of the point awaiting its value
+	refl  int     // index of the reflected point, held while its successor is out
+	fr    float64 // refl's value
+	phase phase
+	i     int // the vertex being built or shrunk
+	iter  int
+	evals int
+}
+
+// reset starts a search from x0, clamped to bounds.
+func (s *stepper) reset(x0 []float64, bounds Bounds, opts NelderMeadOpts) {
 	dim := len(x0)
 	if dim == 0 {
 		panic("optim: empty start point")
@@ -133,156 +185,252 @@ func NelderMead(f Objective, x0 []float64, bounds Bounds, opts NelderMeadOpts) R
 	if !bounds.valid(dim) {
 		panic("optim: malformed bounds")
 	}
-	opts = opts.withDefaults(dim)
-
-	evals := 0
-	eval := func(x []float64) float64 {
-		evals++
-		return f(x)
+	buf := make([]float64, (dim+1+spares)*dim)
+	pts := make([][]float64, dim+1+spares)
+	for i := range pts {
+		pts[i] = buf[i*dim : (i+1)*dim : (i+1)*dim]
 	}
-
-	simplex := make([]vertex, dim+1)
-	start := bounds.Clamp(append([]float64(nil), x0...))
-	simplex[0] = vertex{x: start, f: eval(start)}
-	for i := 0; i < dim; i++ {
-		x := append([]float64(nil), start...)
-		step := opts.Scale * (bounds.Hi[i] - bounds.Lo[i])
-		if step == 0 {
-			step = opts.Scale
-		}
-		x[i] += step
-		if x[i] > bounds.Hi[i] {
-			x[i] = start[i] - step
-		}
-		bounds.Clamp(x)
-		simplex[i+1] = vertex{x: x, f: eval(x)}
+	*s = stepper{
+		bounds:   bounds,
+		opts:     opts.withDefaults(dim),
+		pts:      pts,
+		simplex:  make([]vertex, dim+1),
+		centroid: make([]float64, dim),
+		npool:    spares,
 	}
-
-	const (
-		alpha = 1.0 // reflection
-		gamma = 2.0 // expansion
-		rho   = 0.5 // contraction
-		sigma = 0.5 // shrink
-	)
-
-	centroid := make([]float64, dim)
-	// pool recycles candidate-point buffers: a discarded candidate and
-	// the evicted worst vertex both return here. At most three buffers
-	// circulate, covering reflection/expansion/contraction of any
-	// iteration without further allocation.
-	var pool [][]float64
-	grab := func() []float64 {
-		if n := len(pool); n > 0 {
-			x := pool[n-1]
-			pool = pool[:n-1]
-			return x
-		}
-		return make([]float64, dim)
+	for k := range s.pool {
+		s.pool[k] = dim + 1 + k
 	}
-	// install replaces the worst vertex, recycling its buffer. Callers
-	// must not touch worst.x afterwards.
-	install := func(x []float64, fx float64) {
-		pool = append(pool, simplex[dim].x)
-		simplex[dim] = vertex{x, fx}
-	}
-
-	for iter := 0; iter < opts.MaxIter; iter++ {
-		sortSimplex(simplex)
-		if simplex[dim].f-simplex[0].f < opts.TolF {
-			// A flat simplex can straddle a minimum (notably in 1-D), so
-			// require the vertices to have collapsed in x as well.
-			var spread float64
-			for _, v := range simplex[1:] {
-				for j, xv := range v.x {
-					if d := math.Abs(xv - simplex[0].x[j]); d > spread {
-						spread = d
-					}
-				}
-			}
-			if spread < opts.TolX {
-				break
-			}
-		}
-		// Centroid of all but the worst.
-		for j := range centroid {
-			centroid[j] = 0
-		}
-		for _, v := range simplex[:dim] {
-			for j, xv := range v.x {
-				centroid[j] += xv
-			}
-		}
-		for j := range centroid {
-			centroid[j] /= float64(dim)
-		}
-		worst := simplex[dim]
-
-		mix := func(coef float64) []float64 {
-			x := grab()
-			for j := range x {
-				x[j] = centroid[j] + coef*(centroid[j]-worst.x[j])
-			}
-			return bounds.Clamp(x)
-		}
-
-		refl := mix(alpha)
-		fr := eval(refl)
-		switch {
-		case fr < simplex[0].f:
-			exp := mix(gamma)
-			fe := eval(exp)
-			if fe < fr {
-				install(exp, fe)
-				pool = append(pool, refl)
-			} else {
-				install(refl, fr)
-				pool = append(pool, exp)
-			}
-		case fr < simplex[dim-1].f:
-			install(refl, fr)
-		default:
-			contr := mix(-rho)
-			fc := eval(contr)
-			if fc < worst.f {
-				install(contr, fc)
-				pool = append(pool, refl)
-			} else {
-				pool = append(pool, refl, contr)
-				// Shrink toward the best vertex, overwriting each vertex
-				// in place (x[j] depends only on its own old value and the
-				// best vertex, so the update order cannot alias).
-				for i := 1; i <= dim; i++ {
-					xi := simplex[i].x
-					for j := range xi {
-						xi[j] = simplex[0].x[j] + sigma*(xi[j]-simplex[0].x[j])
-					}
-					bounds.Clamp(xi)
-					simplex[i] = vertex{xi, eval(xi)}
-				}
-			}
-		}
-	}
-
-	sortSimplex(simplex)
-	return Result{X: simplex[0].x, F: simplex[0].f, Evals: evals}
+	copy(pts[0], x0)
+	bounds.Clamp(pts[0])
 }
 
-// MultiStart minimizes with NelderMead from x0 and from starts−1 uniform
-// random points inside the box, returning the best result; Evals sums
-// every start's evaluations. rng must not be nil.
+// pending returns the point whose value the search waits for, or nil
+// once it has stopped.
+func (s *stepper) pending() []float64 {
+	if s.phase == stopped {
+		return nil
+	}
+	return s.pts[s.x]
+}
+
+// tell records the value of the pending point and moves the search on
+// to its next point.
+func (s *stepper) tell(f float64) {
+	s.evals++
+	dim := len(s.centroid)
+	switch s.phase {
+	case building:
+		s.simplex[s.i] = vertex{s.x, f}
+		if s.i++; s.i <= dim {
+			s.x = s.edge(s.i - 1)
+			return
+		}
+		s.head()
+	case reflecting:
+		switch {
+		case f < s.simplex[0].f:
+			s.refl, s.fr = s.x, f
+			s.x, s.phase = s.mix(gamma), expanding
+		case f < s.simplex[dim-1].f:
+			s.install(s.x, f)
+			s.next()
+		default:
+			s.refl, s.fr = s.x, f
+			s.x, s.phase = s.mix(-rho), contracting
+		}
+	case expanding:
+		if f < s.fr {
+			s.install(s.x, f)
+			s.release(s.refl)
+		} else {
+			s.install(s.refl, s.fr)
+			s.release(s.x)
+		}
+		s.next()
+	case contracting:
+		if f < s.simplex[dim].f {
+			s.install(s.x, f)
+			s.release(s.refl)
+			s.next()
+			return
+		}
+		s.release(s.refl)
+		s.release(s.x)
+		s.i, s.phase = 1, shrinking
+		s.x = s.shrink(1)
+	case shrinking:
+		s.simplex[s.i] = vertex{s.x, f}
+		if s.i++; s.i <= dim {
+			s.x = s.shrink(s.i)
+			return
+		}
+		s.next()
+	default:
+		panic("optim: tell after the search stopped")
+	}
+}
+
+// edge writes vertex i+1 of the initial simplex into buffer i+1 and
+// returns its index: the start stepped along dimension i by Scale of
+// the box width, backwards when that leaves the box.
+func (s *stepper) edge(i int) int {
+	start, x := s.pts[0], s.pts[i+1]
+	copy(x, start)
+	step := s.opts.Scale * (s.bounds.Hi[i] - s.bounds.Lo[i])
+	if step == 0 {
+		step = s.opts.Scale
+	}
+	x[i] += step
+	if x[i] > s.bounds.Hi[i] {
+		x[i] = start[i] - step
+	}
+	s.bounds.Clamp(x)
+	return i + 1
+}
+
+// next ends an iteration.
+func (s *stepper) next() {
+	s.iter++
+	s.head()
+}
+
+// head opens an iteration: it stops the search at the iteration cap or
+// once the sorted simplex is flat in f and collapsed in x, and otherwise
+// reflects the worst vertex through the centroid of the rest.
+func (s *stepper) head() {
+	simplex, centroid, pts := s.simplex, s.centroid, s.pts
+	dim := len(centroid)
+	if s.iter >= s.opts.MaxIter {
+		s.stop()
+		return
+	}
+	sortSimplex(simplex)
+	if simplex[dim].f-simplex[0].f < s.opts.TolF {
+		// A flat simplex can straddle a minimum (notably in 1-D), so
+		// require the vertices to have collapsed in x as well.
+		var spread float64
+		best := pts[simplex[0].p]
+		for _, v := range simplex[1:] {
+			for j, xv := range pts[v.p] {
+				if d := math.Abs(xv - best[j]); d > spread {
+					spread = d
+				}
+			}
+		}
+		if spread < s.opts.TolX {
+			s.stop()
+			return
+		}
+	}
+	// Centroid of all but the worst.
+	for j := range centroid {
+		centroid[j] = 0
+	}
+	for _, v := range simplex[:dim] {
+		for j, xv := range pts[v.p] {
+			centroid[j] += xv
+		}
+	}
+	for j := range centroid {
+		centroid[j] /= float64(dim)
+	}
+	s.x, s.phase = s.mix(alpha), reflecting
+}
+
+func (s *stepper) stop() {
+	sortSimplex(s.simplex)
+	s.phase = stopped
+}
+
+// mix writes centroid + coef·(centroid − worst), clamped, into a spare
+// buffer and returns its index.
+func (s *stepper) mix(coef float64) int {
+	s.npool--
+	p := s.pool[s.npool]
+	x, centroid := s.pts[p], s.centroid
+	worst := s.pts[s.simplex[len(centroid)].p]
+	for j := range x {
+		x[j] = centroid[j] + coef*(centroid[j]-worst[j])
+	}
+	s.bounds.Clamp(x)
+	return p
+}
+
+// release returns buffer p to the spares.
+func (s *stepper) release(p int) {
+	s.pool[s.npool] = p
+	s.npool++
+}
+
+// install replaces the worst vertex, recycling its buffer.
+func (s *stepper) install(p int, fx float64) {
+	dim := len(s.centroid)
+	s.release(s.simplex[dim].p)
+	s.simplex[dim] = vertex{p, fx}
+}
+
+// shrink moves vertex i toward the best vertex in place (x[j] depends
+// only on its own old value and the best vertex, so nothing aliases) and
+// returns its buffer's index.
+func (s *stepper) shrink(i int) int {
+	p := s.simplex[i].p
+	xi, best := s.pts[p], s.pts[s.simplex[0].p]
+	for j := range xi {
+		xi[j] = best[j] + sigma*(xi[j]-best[j])
+	}
+	s.bounds.Clamp(xi)
+	return p
+}
+
+func (s *stepper) result() Result {
+	return Result{X: s.pts[s.simplex[0].p], F: s.simplex[0].f, Evals: s.evals}
+}
+
+// NelderMead minimizes f within bounds starting from x0.
+// Points proposed outside the box are clamped to it, which keeps the
+// method valid for the log-space hyperparameter boxes used by the GP.
+// It is one stepper fed one value at a time.
+func NelderMead(f Objective, x0 []float64, bounds Bounds, opts NelderMeadOpts) Result {
+	var s stepper
+	s.reset(x0, bounds, opts)
+	for x := s.pending(); x != nil; x = s.pending() {
+		s.tell(f(x))
+	}
+	return s.result()
+}
+
+// BatchObjective evaluates up to MaxLanes points in one call, writing
+// the value at xs[i] to fs[i]. Each value must depend on its own point
+// only, never on which points share the call.
+type BatchObjective func(xs [][]float64, fs []float64)
+
+// MaxLanes is the most points one BatchObjective call receives.
+const MaxLanes = 4
+
+// MultiStart minimizes with Nelder–Mead from x0 and from starts−1
+// uniform random points inside the box, returning the best result;
+// Evals sums every start's evaluations. rng must not be nil.
 //
 // Every start point is drawn from rng up front, in start order, before
-// any simplex runs (NelderMead itself never touches rng). The starts then
-// run on min(starts, GOMAXPROCS) goroutines, each calling newObjective
-// once for an objective of its own, so objectives that mutate private
-// state need no locking. Each start writes only its own result slot, and
-// the winner is reduced in start order with a strict less-than. X, F,
-// Evals and the state rng is left in are therefore identical at any
-// GOMAXPROCS.
-func MultiStart(newObjective func() Objective, x0 []float64, bounds Bounds, starts int, rng *rand.Rand, opts NelderMeadOpts) Result {
+// any search runs (a search itself never touches rng). Consecutive
+// starts form groups of group searches (clamped to 1…MaxLanes), which
+// step in lockstep: each round hands every unfinished search's pending
+// point to one BatchObjective call. The groups run on
+// min(groups, GOMAXPROCS) new goroutines, each calling newObjective
+// once for an objective of its own (so
+// newObjective must be safe for concurrent calls), and objectives that
+// mutate private state need no locking. A goroutine keeps its
+// searches' state to itself, a search's trajectory depends only on its
+// own values, each start writes only its own result slot, and the
+// winner is reduced in start order with a strict less-than. X, F, Evals
+// and the state rng is left in are therefore identical at any
+// GOMAXPROCS and any grouping.
+func MultiStart(newObjective func() BatchObjective, x0 []float64, bounds Bounds, starts, group int, rng *rand.Rand, opts NelderMeadOpts) Result {
 	if starts < 1 {
 		starts = 1
 	}
+	group = min(max(group, 1), MaxLanes)
 	points := make([][]float64, starts)
 	points[0] = x0
 	for s := 1; s < starts; s++ {
@@ -293,21 +441,40 @@ func MultiStart(newObjective func() Objective, x0 []float64, bounds Bounds, star
 		points[s] = x
 	}
 	results := make([]Result, starts)
-	workers := min(starts, runtime.GOMAXPROCS(0))
+	groups := (starts + group - 1) / group
 	var next atomic.Int64
+	work := func() {
+		f := newObjective()
+		var searches [MaxLanes]stepper
+		for {
+			g := int(next.Add(1)) - 1
+			if g >= groups {
+				return
+			}
+			first := g * group
+			run := searches[:min(group, starts-first)]
+			for i := range run {
+				run[i].reset(points[first+i], bounds, opts)
+			}
+			lockstep(f, run)
+			for i := range run {
+				results[first+i] = run[i].result()
+			}
+		}
+	}
+	// Every worker starts on a new goroutine while the caller waits. A
+	// worker queued behind a running caller could start late and cost a
+	// two-core fit its speed-up, and a caller computing a fit alone
+	// gives the scheduler no point at which the collector's mark worker
+	// can run, which on one core kept a collection, and its write
+	// barriers, open for milliseconds.
+	workers := min(groups, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			f := newObjective()
-			for {
-				s := int(next.Add(1)) - 1
-				if s >= starts {
-					return
-				}
-				results[s] = NelderMead(f, points[s], bounds, opts)
-			}
+			work()
 		}()
 	}
 	wg.Wait()
@@ -319,4 +486,30 @@ func MultiStart(newObjective func() Objective, x0 []float64, bounds Bounds, star
 		}
 	}
 	return best
+}
+
+// lockstep runs a group of searches to their ends, each round
+// evaluating every unfinished search's pending point in one call.
+func lockstep(f BatchObjective, group []stepper) {
+	var (
+		xs  [MaxLanes][]float64
+		fs  [MaxLanes]float64
+		who [MaxLanes]int
+	)
+	for {
+		k := 0
+		for i := range group {
+			if x := group[i].pending(); x != nil {
+				xs[k], who[k] = x, i
+				k++
+			}
+		}
+		if k == 0 {
+			return
+		}
+		f(xs[:k], fs[:k])
+		for j := 0; j < k; j++ {
+			group[who[j]].tell(fs[j])
+		}
+	}
 }

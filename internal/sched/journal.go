@@ -199,21 +199,20 @@ const maxRecordLine = 1 << 20
 var errRecordTooLong = errors.New("sched: journal record too long")
 
 // scanRecords decodes JSONL journal records from r, invoking apply per
-// record, and returns how many records it applied. A torn final line —
-// the tail of a crashed append — is tolerated; an undecodable record
-// followed by more data is mid-file corruption and an error.
-func scanRecords(r io.Reader, apply func(journalRecord)) (int, error) {
+// record, and returns how many records it applied and whether the final
+// line was undecodable. A torn final line — the tail of a crashed
+// append — is tolerated; an undecodable record followed by more data is
+// mid-file corruption and an error.
+func scanRecords(r io.Reader, apply func(journalRecord)) (n int, torn bool, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), maxRecordLine)
-	var torn bool
-	n := 0
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
 			continue
 		}
 		if torn {
-			return n, fmt.Errorf("sched: journal corrupt: undecodable record followed by %q", string(line))
+			return n, torn, fmt.Errorf("sched: journal corrupt: undecodable record followed by %q", string(line))
 		}
 		rec, err := decodeRecord(line)
 		if err != nil {
@@ -224,7 +223,7 @@ func scanRecords(r io.Reader, apply func(journalRecord)) (int, error) {
 		n++
 	}
 	if err := sc.Err(); err != nil && !errors.Is(err, io.EOF) {
-		return n, fmt.Errorf("sched: replaying journal: %w", err)
+		return n, torn, fmt.Errorf("sched: replaying journal: %w", err)
 	}
-	return n, nil
+	return n, torn, nil
 }

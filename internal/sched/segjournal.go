@@ -178,12 +178,19 @@ func ReplaySegmentedFS(fsys faultfs.FS, dir string) (JournalState, ReplayStats, 
 	return st, rs, err
 }
 
+// segTail describes the last segment a fold read: how many records it
+// holds, and whether its final line is undecodable.
+type segTail struct {
+	records int
+	torn    bool
+}
+
 // foldSegments rebuilds the state that snap plus every segment of seqs
 // (ascending) it does not cover prove, in order. It reports what it read
-// and the record count of the last segment it folded. Open, replay and
+// and the tail of the last segment it folded. Open, replay and
 // compaction all go through it, so they cannot disagree on what the
 // journal holds.
-func foldSegments(fsys faultfs.FS, dir string, snap snapshotFile, seqs []int) (JournalState, ReplayStats, int, error) {
+func foldSegments(fsys faultfs.FS, dir string, snap snapshotFile, seqs []int) (JournalState, ReplayStats, segTail, error) {
 	rs := ReplayStats{SnapshotSubs: len(snap.Subs), SnapshotProbes: len(snap.Probes)}
 	st := JournalState{MaxID: snap.MaxID}
 	index := make(map[string]int) // id → position in st.Subs
@@ -192,29 +199,29 @@ func foldSegments(fsys faultfs.FS, dir string, snap snapshotFile, seqs []int) (J
 		st.Subs = append(st.Subs, sub)
 	}
 	st.Probes = append(st.Probes, snap.Probes...)
-	last := 0
+	var last segTail
 	for _, seq := range seqs {
 		if seq <= snap.Through {
 			continue // compacted but not yet deleted (crash window, failed Remove)
 		}
 		f, err := fsys.Open(segPath(dir, seq))
 		if err != nil {
-			return st, rs, 0, err
+			return st, rs, last, err
 		}
 		// Any segment can end in a torn line: the active one when a crash
 		// hit mid-append, and a sealed one whose torn tail a later open
 		// repaired — or never saw. scanRecords tolerates exactly that
 		// shape.
-		n, err := scanRecords(f, func(rec journalRecord) {
+		n, torn, err := scanRecords(f, func(rec journalRecord) {
 			applyRecord(&st, index, rec)
 		})
 		_ = f.Close()
 		if err != nil {
-			return st, rs, 0, fmt.Errorf("sched: segment %d: %w", seq, err)
+			return st, rs, last, fmt.Errorf("sched: segment %d: %w", seq, err)
 		}
 		rs.TailSegments++
 		rs.TailRecords += n
-		last = n
+		last = segTail{records: n, torn: torn}
 	}
 	return st, rs, last, nil
 }
@@ -224,7 +231,9 @@ func foldSegments(fsys faultfs.FS, dir string, snap snapshotFile, seqs []int) (J
 // repairs the active segment's torn tail, folds the snapshot and every
 // segment it does not cover, takes the active segment's record count
 // from that fold (so a reopened segment rotates at the same threshold
-// as a fresh one), and opens the active segment for appending. With
+// as a fresh one), and opens the active segment for appending. An
+// active segment whose final line is complete but undecodable is
+// sealed as it is, and appends go to a fresh segment. With
 // CompactEvery set it then starts the background compaction loop.
 func OpenSegmented(cfg SegmentedConfig) (*SegmentedJournal, JournalState, error) {
 	if cfg.MaxRecords <= 0 {
@@ -265,9 +274,18 @@ func OpenSegmented(cfg SegmentedConfig) (*SegmentedJournal, JournalState, error)
 		return nil, JournalState{}, fmt.Errorf("sched: repairing segment tail: %w", err)
 	}
 	// The active segment, when it exists, is the last segment folded.
-	st, _, n, err := foldSegments(fsys, cfg.Dir, snap, seqs)
+	st, _, tail, err := foldSegments(fsys, cfg.Dir, snap, seqs)
 	if err != nil {
 		return nil, JournalState{}, err
+	}
+	n := tail.records
+	if tail.torn {
+		// A garbled line that ends in a newline survives the tail repair,
+		// and the fold tolerates it only as a segment's last line: an
+		// append after it would make every later replay fail. Seal the
+		// segment around it and append to the next.
+		seq, n = seq+1, 0
+		path = segPath(cfg.Dir, seq)
 	}
 	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {

@@ -214,6 +214,50 @@ func TestSegmentedCompactToleratesTornSealedSegment(t *testing.T) {
 	}
 }
 
+// TestSegmentedOpenSealsGarbledLastLine: a complete but undecodable last
+// line in the active segment ends in a newline, so the tail repair keeps
+// it and the fold tolerates it as a segment's last line. An append
+// behind it would leave it mid-segment, where every later open refuses
+// it as corruption and loses the acknowledged record; the open must
+// seal the segment and append to a fresh one.
+func TestSegmentedOpenSealsGarbledLastLine(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "jnl")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	seg := `{"type":"submit","id":"job-0001","job":"resnet-cifar10","tenant":"a"}` + "\n" +
+		`{"type":"submit","id":"job-0002","job":"resnet-cifar10","tenant":"a"` + "\n"
+	if err := os.WriteFile(segPath(dir, 1), []byte(seg), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, st, err := OpenSegmented(SegmentedConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Subs) != 1 || st.Subs[0].ID != "job-0001" {
+		t.Fatalf("first open state = %+v, want job-0001 alone", st.Subs)
+	}
+	if err := j.append(journalRecord{Type: "submit", ID: "job-0003", Job: "resnet-cifar10", Tenant: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j, st, err = OpenSegmented(SegmentedConfig{Dir: dir})
+	if err != nil {
+		t.Fatalf("reopening after an append behind a garbled line: %v", err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Subs) != 2 || st.Subs[0].ID != "job-0001" || st.Subs[1].ID != "job-0003" || st.MaxID != 3 {
+		t.Fatalf("reopened state = %+v (MaxID %d), want job-0001 and job-0003", st.Subs, st.MaxID)
+	}
+	if _, _, err := ReplaySegmented(dir); err != nil {
+		t.Fatalf("replaying: %v", err)
+	}
+}
+
 // TestSegmentedCrashBetweenSnapshotAndDelete: the crash window after the
 // snapshot rename but before sealed segments are deleted must be
 // idempotent — replay skips segments the snapshot already covers.

@@ -52,8 +52,9 @@ go test -run '^$' -bench 'BenchmarkNextCandidate$' -benchtime 1000x -count=3 ./i
 
 # Within-record pairs, which bench_compare.sh gates on one machine: the
 # journal's FS indirection over a direct append, and each four-lane
-# kernel over its scalar path (the Matérn map over 256 values, a 24×24
-# Cholesky factor, the ARD distances of 300 pairs). A pair's two
+# kernel over its scalar path (the Matérn map over 256 values, the
+# factor, solve and yᵀα of three 24×24 systems in lockstep, the ARD
+# distances of 300 pairs). A pair's two
 # benchmarks run in the same `go test` process, ten rounds; each round
 # runs each side ten times for 2000 iterations, a few milliseconds, and
 # benchgate keeps each side's minimum over its 100 runs. Short runs let
@@ -69,7 +70,7 @@ pair() { # package, base benchmark, candidate benchmark
 }
 pair ./internal/sched/ BenchmarkJournalAppendDirect BenchmarkJournalAppend
 pair ./internal/gp/ BenchmarkMaternScalar BenchmarkMaternBatch
-pair ./internal/mat/ BenchmarkCholeskyScalar BenchmarkCholeskyLanes
+pair ./internal/mat/ BenchmarkLaneCholeskyScalar BenchmarkLaneCholesky
 pair ./internal/gp/ BenchmarkARDScalar BenchmarkARDLanes
 
 go run ./cmd/benchgate fmt -out "$OUT" <"$RAW"

@@ -6,8 +6,9 @@
 # two timings the flattening work is accountable for — slowed by more
 # than 10%. Four pairs are gated within the fresh record, on one
 # machine: the journal's FS indirection over a direct append, and each
-# four-lane kernel over its scalar path — the Matérn map, the Cholesky
-# factor and the ARD distances (a kernel may never be slower).
+# four-lane kernel over its scalar path — the Matérn map, the lockstep
+# Cholesky factor and solve, and the ARD distances (a kernel may never
+# be slower).
 # scripts/bench.sh runs each pair's two benchmarks together in ten
 # rounds. Duplicate rows in either record collapse by min before
 # comparison (BENCH_PR4.json predates the deduplication and carries
@@ -27,6 +28,6 @@ go run ./cmd/benchgate compare -old "$OLD" -new "$NEW" \
 	-max-regress-pct 10 \
 	-pair BenchmarkJournalAppendDirect=BenchmarkJournalAppend \
 	-pair BenchmarkMaternScalar=BenchmarkMaternBatch \
-	-pair BenchmarkCholeskyScalar=BenchmarkCholeskyLanes \
+	-pair BenchmarkLaneCholeskyScalar=BenchmarkLaneCholesky \
 	-pair BenchmarkARDScalar=BenchmarkARDLanes \
 	-max-overhead-pct 2 -overhead-floor-ns 500
