@@ -176,7 +176,7 @@ func (g *gpSearcher) Search(j workload.Job, space *cloud.Space, scen search.Scen
 			feats = append(feats, cloud.Features(d)...)
 		}
 		mu, sigma := make([]float64, len(cands)), make([]float64, len(cands))
-		surr.PredictMatrix(feats, dim, mu, sigma, &scratch)
+		surr.PredictMatrix(feats, dim, nil, mu, sigma, &scratch)
 		var (
 			bestD  cloud.Deployment
 			bestEI = -1.0

@@ -90,8 +90,8 @@ func (m *MultiFidelitySurrogate) serving() *Surrogate {
 func (m *MultiFidelitySurrogate) Len() int { return m.serving().Len() }
 
 // PredictMatrix mirrors Surrogate.PredictMatrix on the serving model.
-func (m *MultiFidelitySurrogate) PredictMatrix(feats []float64, dim int, mu, sigma []float64, scratch *gp.PredictMatrixScratch) {
-	m.serving().PredictMatrix(feats, dim, mu, sigma, scratch)
+func (m *MultiFidelitySurrogate) PredictMatrix(feats []float64, dim int, means []gp.MeanAt, mu, sigma []float64, scratch *gp.PredictMatrixScratch) {
+	m.serving().PredictMatrix(feats, dim, means, mu, sigma, scratch)
 }
 
 // Predict mirrors Surrogate.Predict on the serving model.

@@ -71,8 +71,8 @@ func TestMultiFidelityAllFullBitIdentical(t *testing.T) {
 	}
 	dim := len(feats) / len(mu)
 	var s1, s2 gp.PredictMatrixScratch
-	plain.PredictMatrix(feats, dim, mu, sigma, &s1)
-	multi.PredictMatrix(feats, dim, mu2, sigma2, &s2)
+	plain.PredictMatrix(feats, dim, nil, mu, sigma, &s1)
+	multi.PredictMatrix(feats, dim, nil, mu2, sigma2, &s2)
 	for i := range mu {
 		if mu[i] != mu2[i] || sigma[i] != sigma2[i] {
 			t.Fatalf("PredictMatrix diverged at %d: (%v, %v) vs (%v, %v)", i, mu[i], sigma[i], mu2[i], sigma2[i])

@@ -41,7 +41,7 @@ func queryFeatures(n int) (feats []float64, dim int) {
 func predictAll(s *Surrogate, feats []float64, dim int) []uint64 {
 	m := len(feats) / dim
 	mu, sigma := make([]float64, m), make([]float64, m)
-	s.PredictMatrix(feats, dim, mu, sigma, &gp.PredictMatrixScratch{})
+	s.PredictMatrix(feats, dim, nil, mu, sigma, &gp.PredictMatrixScratch{})
 	out := make([]uint64, 0, 2*m)
 	for c := range mu {
 		out = append(out, math.Float64bits(mu[c]), math.Float64bits(sigma[c]))

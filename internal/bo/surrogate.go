@@ -129,14 +129,16 @@ func (s *Surrogate) refit(start time.Time) error {
 // PredictMatrix fills mu[c], sigma[c] with the posterior at the m
 // queries packed row-major in feats (len(feats) = m·dim), reusing the
 // caller's scratch so a hot search loop performs no per-sweep feature
-// encoding or allocation. The outputs are bit-identical to a Predict
-// loop over the same queries in the same order; see gp.PredictMatrix for
-// the determinism argument.
-func (s *Surrogate) PredictMatrix(feats []float64, dim int, mu, sigma []float64, scratch *gp.PredictMatrixScratch) {
+// encoding or allocation. means is the prior mean's column at the
+// queries when SetMean installed one, nil otherwise (see
+// gp.PredictMatrix). The outputs are bit-identical to a Predict loop
+// over the same queries in the same order; see gp.PredictMatrix for the
+// determinism argument.
+func (s *Surrogate) PredictMatrix(feats []float64, dim int, means []gp.MeanAt, mu, sigma []float64, scratch *gp.PredictMatrixScratch) {
 	if s.model == nil || s.Len() == 0 {
 		panic("bo: PredictMatrix before any observation")
 	}
-	s.model.PredictMatrix(feats, dim, mu, sigma, scratch)
+	s.model.PredictMatrix(feats, dim, means, mu, sigma, scratch)
 }
 
 // Predict returns the posterior mean and standard deviation of the

@@ -3,6 +3,7 @@ package cloud
 import (
 	"fmt"
 	"math"
+	"sync"
 	"time"
 )
 
@@ -39,8 +40,55 @@ func (d Deployment) String() string {
 func (d Deployment) Key() string { return d.String() }
 
 // Space is the discrete deployment search space handed to the optimizers.
+// It is immutable once built, so one Space may serve any number of
+// concurrent searches; its Encoding is computed once and shared by all.
 type Space struct {
 	deployments []Deployment
+
+	encOnce sync.Once
+	enc     *Encoding
+}
+
+// Encoding is a Space's candidate view in the form a search sweeps it:
+// every deployment's Features row and Key, and the first index holding
+// each key. It is read-only: every search over the Space shares it.
+type Encoding struct {
+	Dim   int            // len(Features(d))
+	Feats []float64      // Len()×Dim row-major Features rows
+	Keys  []string       // Key() per deployment
+	First []int          // per deployment: the first index with the same Key
+	Index map[string]int // Key → first index
+}
+
+// Encoding returns the space's shared encoding, computing it on the first
+// call. The result must not be modified.
+func (s *Space) Encoding() *Encoding {
+	s.encOnce.Do(func() {
+		n := len(s.deployments)
+		e := &Encoding{
+			Keys:  make([]string, n),
+			First: make([]int, n),
+			Index: make(map[string]int, n),
+		}
+		for i, d := range s.deployments {
+			f := Features(d)
+			if e.Feats == nil {
+				e.Dim = len(f)
+				e.Feats = make([]float64, 0, n*e.Dim)
+			}
+			e.Feats = append(e.Feats, f...)
+			key := d.Key()
+			e.Keys[i] = key
+			first, ok := e.Index[key]
+			if !ok {
+				first = i
+				e.Index[key] = i
+			}
+			e.First[i] = first
+		}
+		s.enc = e
+	})
+	return s.enc
 }
 
 // SpaceLimits bounds the node counts explored per instance kind.
@@ -57,13 +105,20 @@ func NewSpace(c *Catalog, lim SpaceLimits) *Space {
 	if lim.MaxCPUNodes < 1 || lim.MaxGPUNodes < 1 {
 		panic("cloud: space limits must be ≥1")
 	}
-	var all []Deployment
-	for _, it := range c.Types() {
-		maxN := lim.MaxCPUNodes
+	maxNodes := func(it InstanceType) int {
 		if it.IsGPU() {
-			maxN = lim.MaxGPUNodes
+			return lim.MaxGPUNodes
 		}
-		for n := 1; n <= maxN; n++ {
+		return lim.MaxCPUNodes
+	}
+	types := c.Types()
+	total := 0
+	for _, it := range types {
+		total += maxNodes(it)
+	}
+	all := make([]Deployment, 0, total)
+	for _, it := range types {
+		for n := 1; n <= maxNodes(it); n++ {
 			all = append(all, Deployment{Type: it, Nodes: n})
 		}
 	}

@@ -2,6 +2,8 @@ package cloud
 
 import (
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -134,5 +136,47 @@ func TestQuickHourlyCostLinear(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A Space's encoding holds every deployment's Features row and Key, and
+// maps duplicate keys to their first index; concurrent first calls share
+// one encoding.
+func TestSpaceEncoding(t *testing.T) {
+	cat := DefaultCatalog()
+	a := NewDeployment(cat.MustLookup("c5.xlarge"), 2)
+	b := NewDeployment(cat.MustLookup("p3.2xlarge"), 3)
+	sp := NewSpaceFrom([]Deployment{a, b, a, b, b})
+	encs := make([]*Encoding, 4)
+	var wg sync.WaitGroup
+	for i := range encs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			encs[i] = sp.Encoding()
+		}(i)
+	}
+	wg.Wait()
+	e := encs[0]
+	for _, other := range encs[1:] {
+		if other != e {
+			t.Fatal("concurrent Encoding calls built more than one encoding")
+		}
+	}
+	if e.Dim != len(Features(a)) || len(e.Feats) != sp.Len()*e.Dim {
+		t.Fatalf("dim %d with %d feature values for %d deployments", e.Dim, len(e.Feats), sp.Len())
+	}
+	wantFirst := []int{0, 1, 0, 1, 1}
+	for i := 0; i < sp.Len(); i++ {
+		d := sp.At(i)
+		if !reflect.DeepEqual(e.Feats[i*e.Dim:(i+1)*e.Dim], Features(d)) || e.Keys[i] != d.Key() {
+			t.Fatalf("deployment %d: row %v key %q, want %v %q", i, e.Feats[i*e.Dim:(i+1)*e.Dim], e.Keys[i], Features(d), d.Key())
+		}
+		if e.First[i] != wantFirst[i] || e.Index[d.Key()] != wantFirst[i] {
+			t.Fatalf("deployment %d: first %d, index %d, want %d", i, e.First[i], e.Index[d.Key()], wantFirst[i])
+		}
+	}
+	if len(e.Index) != 2 {
+		t.Fatalf("index holds %d keys, want 2", len(e.Index))
 	}
 }

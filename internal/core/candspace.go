@@ -4,12 +4,14 @@
 // a fmt.Sprintf map key for each of three map filters, a fresh 5-float
 // feature slice for the GP, and a reserve check that re-ran the final
 // pick over all observations — for every candidate, every step. This
-// file flattens the space once per search into struct-of-arrays form
-// (precomputed keys, encoded features, capacity columns) plus mutable
-// masks the probe path maintains in O(1), so a sweep becomes: mask
-// filter → gather → one batched posterior → serial argmax. Every
-// floating-point operation and comparison of the original sweep is
-// preserved (see scanCandidates), so traces stay byte-identical.
+// file flattens the space into struct-of-arrays form plus mutable masks
+// the probe path maintains in O(1), so a sweep becomes: mask filter →
+// gather → one batched posterior → serial argmax. The keys, encoded
+// features and key→index map come from the Space's shared Encoding,
+// computed once per Space; a search derives only its own masks, type
+// bounds, prior column and capacity columns. Every floating-point
+// operation and comparison of the original sweep is preserved (see
+// scanCandidates), so traces stay byte-identical.
 
 package core
 
@@ -18,33 +20,30 @@ import (
 	"mlcd/internal/gp"
 )
 
-// candSpace is the flat view of one search's deployment space. The
-// geometry columns (deps … capTotal) are immutable after construction;
-// the mask columns mirror the state's string-keyed bookkeeping maps and
-// are kept in sync by state.probe (the only mutation site after the
-// view is seeded).
+// candSpace is one search's flat view of its deployment space. The
+// geometry columns (space … hourly) are immutable after construction,
+// the shared ones (enc) across every search of the Space; the mask
+// columns mirror the state's string-keyed bookkeeping maps and are kept
+// in sync by state.probe (the only mutation site after the view is
+// seeded).
 type candSpace struct {
 	n   int // candidates (== space.Len())
 	dim int // feature dimensionality (len(cloud.Features))
 
-	deps  []cloud.Deployment
-	keys  []string  // precomputed Deployment.Key() per candidate
-	feats []float64 // n×dim row-major cloud.Features encodings
-	nodes []int     // node count per candidate
+	space *cloud.Space
+	// enc holds the precomputed Deployment.Key() and cloud.Features rows
+	// per candidate, and First: the index of the first candidate sharing
+	// a key. Masks are read and written at that canonical index, so
+	// duplicate deployments in a hand-built space filter together —
+	// exactly as the shared-map-key code did.
+	enc *cloud.Encoding
 
-	// canon[i] is the index of the first candidate sharing i's key.
-	// Masks are read and written at the canonical index, so duplicate
-	// deployments in a hand-built space filter together — exactly as
-	// the shared-map-key code did.
-	canon []int
-
+	nodes    []int                // node count per candidate
 	typeIdx  []int                // per candidate: index into types
 	types    []cloud.InstanceType // distinct types, first-seen order
 	capGiB   []float64            // nodeCapacityGiB(type) per candidate
 	capTotal []float64            // capGiB·nodes (sharded OOM bound)
 	hourly   []float64            // HourlyCost() per candidate (Eq. 8's P(m)·n)
-
-	idxByKey map[string]int // key → canonical index
 
 	// Masks, indexed canonically. anyQuarantined gates the quarantine
 	// column the way len(st.quarantined) > 0 gated the map.
@@ -56,25 +55,30 @@ type candSpace struct {
 	// typeBound[t] caps explorable node counts per type (0 = unbounded);
 	// refreshed from state.priorBound at the top of every sweep.
 	typeBound []int
+
+	// The prior column, per candidate, when a fleet prior is armed (nil
+	// otherwise): prior[i] is the surrogate mean's MeanVar at i's
+	// feature row, filled by the first sweep that admits i (priorSet[i])
+	// and read by every later one. MeanVar is a pure function of the
+	// row, so a stored value is the value a fresh call would return.
+	prior    []gp.MeanAt
+	priorSet []bool
 }
 
-// newCandSpace flattens space. O(n) including the one-time key builds
-// the per-sweep hot loop no longer pays.
+// newCandSpace flattens space for one search: O(n) columns derived from
+// the deployments, on top of the Space's shared encoding.
 func newCandSpace(space *cloud.Space) *candSpace {
 	n := space.Len()
-	dim := len(cloud.Features(space.At(0)))
+	enc := space.Encoding()
 	cs := &candSpace{
-		n: n, dim: dim,
-		deps:        make([]cloud.Deployment, n),
-		keys:        make([]string, n),
-		feats:       make([]float64, n*dim),
+		n: n, dim: enc.Dim,
+		space:       space,
+		enc:         enc,
 		nodes:       make([]int, n),
-		canon:       make([]int, n),
 		typeIdx:     make([]int, n),
 		capGiB:      make([]float64, n),
 		capTotal:    make([]float64, n),
 		hourly:      make([]float64, n),
-		idxByKey:    make(map[string]int, n),
 		profiled:    make([]bool, n),
 		pending:     make([]bool, n),
 		quarantined: make([]bool, n),
@@ -82,9 +86,6 @@ func newCandSpace(space *cloud.Space) *candSpace {
 	typeIdxByName := make(map[string]int)
 	for i := 0; i < n; i++ {
 		d := space.At(i)
-		cs.deps[i] = d
-		cs.keys[i] = d.Key()
-		copy(cs.feats[i*dim:(i+1)*dim], cloud.Features(d))
 		cs.nodes[i] = d.Nodes
 		ti, ok := typeIdxByName[d.Type.Name]
 		if !ok {
@@ -97,15 +98,26 @@ func newCandSpace(space *cloud.Space) *candSpace {
 		cs.capGiB[i] = cap
 		cs.capTotal[i] = cap * float64(d.Nodes)
 		cs.hourly[i] = d.HourlyCost()
-		if first, ok := cs.idxByKey[cs.keys[i]]; ok {
-			cs.canon[i] = first
-		} else {
-			cs.idxByKey[cs.keys[i]] = i
-			cs.canon[i] = i
-		}
 	}
 	cs.typeBound = make([]int, len(cs.types))
 	return cs
+}
+
+// armPrior allocates the prior column; a search calls it once, when its
+// surrogate has a prior mean.
+func (cs *candSpace) armPrior() {
+	cs.prior = make([]gp.MeanAt, cs.n)
+	cs.priorSet = make([]bool, cs.n)
+}
+
+// priorAt returns candidate i's prior mean and variance under mean,
+// evaluating mean at most once per search.
+func (cs *candSpace) priorAt(i int, mean gp.Mean) gp.MeanAt {
+	if !cs.priorSet[i] {
+		cs.prior[i].Mu, cs.prior[i].Var = mean.MeanVar(cs.enc.Feats[i*cs.dim : (i+1)*cs.dim])
+		cs.priorSet[i] = true
+	}
+	return cs.prior[i]
 }
 
 // refreshTypeBounds mirrors the concave-prior map into the flat column.
@@ -118,14 +130,15 @@ func (cs *candSpace) refreshTypeBounds(bounds map[string]int) {
 }
 
 // searchArena pools every per-sweep buffer of the acquisition loop:
-// the surviving-candidate index list, the gathered feature block, the
-// batched posterior outputs and their GP scratch, and the small
+// the surviving-candidate index list, the gathered feature block and
+// prior column, the batched posterior outputs and their GP scratch, and the small
 // fidelity-menu slices. Buffers are resliced, never shrunk, so after
 // the first sweep (the largest — the candidate set only shrinks as
 // probes land) a steady-state sweep allocates nothing.
 type searchArena struct {
 	candIdx []int
 	feats   []float64
+	means   []gp.MeanAt
 	mu      []float64
 	sigma   []float64
 	menu    []float64

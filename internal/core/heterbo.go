@@ -223,6 +223,9 @@ type state struct {
 	// per-sweep buffer; see candspace.go.
 	cand  *candSpace
 	arena searchArena
+	// fleet is the surrogate's prior mean when a fleet prior is armed
+	// (nil otherwise); the sweep evaluates it into cand's prior column.
+	fleet *fleetMean
 	// Memory-feasibility bounds learned from OOM probes, in GiB of
 	// accelerator/host capacity. A replicated-state model that OOMs on a
 	// node with capacity c cannot fit any node with capacity ≤ c; a
@@ -270,12 +273,7 @@ func (h *HeterBO) Search(j workload.Job, space *cloud.Space, scen search.Scenari
 		Kind: "search_started",
 		Note: fmt.Sprintf("%s %s, warm_start=%d", h.Name(), scen, len(h.opts.WarmStart)),
 	})
-	// The fleet prior arms only when it actually covers the job's model
-	// family: an absent or irrelevant prior must leave the surrogate's
-	// zero mean untouched (and emit nothing), keeping prior-off searches
-	// byte-identical to the committed trace goldens.
-	if fm := newFleetMean(h.opts.FleetPrior, j, space, scen); fm != nil {
-		st.surr.SetMean(fm)
+	if fm := st.armFleetPrior(h.opts.FleetPrior); fm != nil {
 		fs := h.opts.FleetPrior.Stats()
 		st.emit(obs.Event{
 			Kind: "fleet_prior",
@@ -322,6 +320,21 @@ func (h *HeterBO) Search(j workload.Job, space *cloud.Space, scen search.Scenari
 		ProfileCost:    st.spentCost,
 		Stopped:        stopped,
 	}, nil
+}
+
+// armFleetPrior installs p as the surrogate's prior mean and returns the
+// adapter, or returns nil and leaves the state untouched. The prior arms
+// only when it actually covers the job's model family: an absent or
+// irrelevant prior must leave the surrogate's zero mean untouched (and
+// emit nothing), keeping prior-off searches byte-identical to the
+// committed trace goldens.
+func (st *state) armFleetPrior(p *fleetprior.Prior) *fleetMean {
+	fm := newFleetMean(p, st.job, st.space, st.scen)
+	if fm != nil {
+		st.surr.SetMean(fm)
+		st.fleet = fm
+	}
+	return fm
 }
 
 // run executes init + BO loop, returning the stop reason.
@@ -704,7 +717,7 @@ func (st *state) probe(d cloud.Deployment, fid, acq float64, note string) profil
 	// acquisition sweep reads is updated here, next to the map it mirrors.
 	ci := -1
 	if st.cand != nil {
-		if i, ok := st.cand.idxByKey[key]; ok {
+		if i, ok := st.cand.enc.Index[key]; ok {
 			ci = i
 		}
 	}
@@ -945,8 +958,11 @@ func (st *state) ensureCand() {
 		return
 	}
 	cs := newCandSpace(st.space)
-	for i, key := range cs.keys {
-		ci := cs.canon[i]
+	if st.fleet != nil {
+		cs.armPrior()
+	}
+	for i, key := range cs.enc.Keys {
+		ci := cs.enc.First[i]
 		if st.profiled[key] {
 			cs.profiled[ci] = true
 		}
@@ -1064,9 +1080,12 @@ func (g reserveGate) admits(nodes int, hourly, f float64) bool {
 //     hoisting the reserve gate's sweep-invariant pieces reorders no
 //     floating-point operation that reaches a verdict;
 //   - pass 2 gathers the precomputed cloud.Features rows (the same bits
-//     Predict re-encodes per call) and takes ONE batched posterior,
-//     whose per-query values gp.PredictMatrix guarantees independent of
-//     the batch (gp's tests pin it to a per-query reference posterior);
+//     Predict re-encodes per call) and, with a fleet prior armed, each
+//     survivor's prior mean and variance — evaluated once per search,
+//     the bits a per-query MeanVar call returns since gp.Mean is pure —
+//     and takes ONE batched posterior, whose per-query values
+//     gp.PredictMatrix guarantees independent of the batch (gp's tests
+//     pin it to a per-query reference posterior);
 //   - pass 3 walks survivors in space-index order applying the CI
 //     filter, TEI headroom, and strict-greater argmax in the original
 //     comparison sequence.
@@ -1096,7 +1115,7 @@ func (st *state) scanCandidates() (cloud.Deployment, candidateScore, bool) {
 	// concave prior — the former pruned()), then the reserve gate.
 	candIdx := ar.candIdx[:0]
 	for i := 0; i < cs.n; i++ {
-		ci := cs.canon[i]
+		ci := cs.enc.First[i]
 		// A pending screen already informs the surrogate through the gap
 		// model; re-probing it buys little. Only the confirmation sweep
 		// may spend the full probe, and only if the point still contends.
@@ -1126,16 +1145,26 @@ func (st *state) scanCandidates() (cloud.Deployment, candidateScore, bool) {
 		return cloud.Deployment{}, candidateScore{}, false
 	}
 
-	// Pass 2: gather the survivors' feature rows and take one batched
-	// posterior over the whole block.
+	// Pass 2: gather the survivors' feature rows (and prior column) and
+	// take one batched posterior over the whole block.
 	m := len(candIdx)
 	ar.feats = growFloats(ar.feats, m*cs.dim)
 	for c, i := range candIdx {
-		copy(ar.feats[c*cs.dim:(c+1)*cs.dim], cs.feats[i*cs.dim:(i+1)*cs.dim])
+		copy(ar.feats[c*cs.dim:(c+1)*cs.dim], cs.enc.Feats[i*cs.dim:(i+1)*cs.dim])
+	}
+	var means []gp.MeanAt
+	if st.fleet != nil {
+		if cap(ar.means) < m {
+			ar.means = make([]gp.MeanAt, m)
+		}
+		means = ar.means[:m]
+		for c, i := range candIdx {
+			means[c] = cs.priorAt(i, st.fleet)
+		}
 	}
 	ar.mu = growFloats(ar.mu, m)
 	ar.sigma = growFloats(ar.sigma, m)
-	st.surr.PredictMatrix(ar.feats, cs.dim, ar.mu, ar.sigma, &ar.scratch)
+	st.surr.PredictMatrix(ar.feats, cs.dim, means, ar.mu, ar.sigma, &ar.scratch)
 
 	// Pass 3: serial argmax in space-index order.
 	var (
@@ -1144,7 +1173,7 @@ func (st *state) scanCandidates() (cloud.Deployment, candidateScore, bool) {
 		found     bool
 	)
 	for c, i := range candIdx {
-		d := cs.deps[i]
+		d := cs.space.At(i)
 		sig := ar.sigma[c]
 		optimistic := ar.mu[c] + confidenceZ*sig
 		// 95 % CI filter (§III-C stop condition): skip candidates whose
@@ -1230,10 +1259,10 @@ func (st *state) feasibleIncumbentObjective() (float64, bool) {
 		// follows space-index order, so this visits exactly the
 		// deployments the space scan with per-candidate keys visited.
 		for i := 0; i < st.cand.n; i++ {
-			if !st.cand.pending[st.cand.canon[i]] {
+			if !st.cand.pending[st.cand.enc.First[i]] {
 				continue
 			}
-			d := st.cand.deps[i]
+			d := st.space.At(i)
 			mu, _ := st.surr.Predict(d)
 			// Invert the log-objective back to throughput for the same
 			// feasibility judgement the full observations get.

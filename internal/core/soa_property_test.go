@@ -363,10 +363,8 @@ func newSoAState(c soaCase, seed int64) *state {
 	}
 	st.prof = prof
 	st.surr = bo.NewMultiFidelitySurrogate(bo.NewSurrogate(opts.Kernel.Clone(), st.rng))
-	if c.fleet {
-		if fm := newFleetMean(soaFleetPrior(c, simul), c.job, c.space, c.scen); fm != nil {
-			st.surr.SetMean(fm)
-		}
+	if c.fleet && st.armFleetPrior(soaFleetPrior(c, simul)) == nil {
+		panic(fmt.Sprintf("soa case %s: the fleet prior does not cover the job's family", c.name))
 	}
 	return st
 }

@@ -269,7 +269,7 @@ func TestFitMLECatalogLanesMatchScalar(t *testing.T) {
 				sigma:  make([]float64, space.Len()),
 			}
 			var ps PredictMatrixScratch
-			g.PredictMatrix(qs, dim, f.mu, f.sigma, &ps)
+			g.PredictMatrix(qs, dim, nil, f.mu, f.sigma, &ps)
 			fits[s] = f
 		}
 		a, d := fits[0], fits[1]

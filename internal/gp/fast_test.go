@@ -251,7 +251,7 @@ func TestPredictMatrixMatchesPredictInto(t *testing.T) {
 			var s PredictMatrixScratch
 			mu := make([]float64, m)
 			sigma := make([]float64, m)
-			g.PredictMatrix(packQueries(xs), dim, mu, sigma, &s)
+			g.PredictMatrix(packQueries(xs), dim, nil, mu, sigma, &s)
 			for i := range xs {
 				if mu[i] != wantMu[i] || sigma[i] != wantSigma[i] {
 					t.Fatalf("%s trial %d: query %d: (%v,%v) want (%v,%v)",
@@ -275,9 +275,9 @@ func TestPredictMatrixZeroAlloc(t *testing.T) {
 	mu := make([]float64, 50)
 	sigma := make([]float64, 50)
 	var s PredictMatrixScratch
-	g.PredictMatrix(qs, 4, mu, sigma, &s) // warm the scratch
+	g.PredictMatrix(qs, 4, nil, mu, sigma, &s) // warm the scratch
 	allocs := testing.AllocsPerRun(100, func() {
-		g.PredictMatrix(qs, 4, mu, sigma, &s)
+		g.PredictMatrix(qs, 4, nil, mu, sigma, &s)
 	})
 	if allocs != 0 {
 		t.Fatalf("PredictMatrix allocates %v per call, want 0", allocs)
@@ -318,7 +318,7 @@ func TestScratchGrowsGeometrically(t *testing.T) {
 		if err := g.Fit(xs, ys); err != nil {
 			t.Fatal(err)
 		}
-		g.PredictMatrix(qs, dim, mu, sigma, &s)
+		g.PredictMatrix(qs, dim, nil, mu, sigma, &s)
 		if p := &s.ks.Row(0)[0]; p != block {
 			block, blocks = p, blocks+1
 		}
@@ -369,7 +369,7 @@ func FuzzPredictMatrix(f *testing.F) {
 		var s PredictMatrixScratch
 		mu := make([]float64, m)
 		sigma := make([]float64, m)
-		g.PredictMatrix(packQueries(q), dim, mu, sigma, &s)
+		g.PredictMatrix(packQueries(q), dim, nil, mu, sigma, &s)
 		for i, x := range q {
 			wm, ws := g.PredictInto(x, &ps)
 			if mu[i] != wm || sigma[i] != ws {

@@ -21,9 +21,19 @@ var ErrNoData = errors.New("gp: no observations fitted")
 // as posterior-over-residuals + m(x), with v(x) added to the posterior
 // variance. A zero v means "the mean is exact there" and leaves the
 // posterior spread untouched. Implementations must be pure functions of
-// x — the GP may evaluate them at any time, from multiple goroutines.
+// x — the GP may evaluate them at any time, from multiple goroutines —
+// which is what lets a caller evaluate a query's MeanVar once and hand
+// the value to every later PredictMatrix over that query (MeanAt).
 type Mean interface {
 	MeanVar(x []float64) (mu, v float64)
+}
+
+// MeanAt is the prior mean's value at one query point: the (mu, v) pair
+// Mean.MeanVar returns there. PredictMatrix takes one per query instead
+// of calling the Mean itself, so a caller that predicts the same points
+// again and again evaluates each of them once.
+type MeanAt struct {
+	Mu, Var float64
 }
 
 // GP is an exact Gaussian-process regressor with fixed Gaussian
@@ -430,9 +440,12 @@ func (s *PredictMatrixScratch) resize(n, m, dim int) {
 
 // PredictMatrix fills mu[c], sigma[c] with the posterior at the m queries
 // packed row-major in qs (len(qs) = m·dim), in original target units.
-// Every query's result is bit-identical to the per-query posterior (one
-// Eval per training point, mat.Dot, ForwardSolveInto), which the package
-// tests keep as the reference:
+// means[c] must be the prior mean's MeanVar at query c when a Mean is
+// set, and means must be nil when none is; anything else is a caller bug
+// and panics. Every query's result is bit-identical to the per-query
+// posterior (one Eval per training point, mat.Dot, ForwardSolveInto,
+// then MeanVar at the query), which the package tests keep as the
+// reference:
 //
 //   - row i of the cross-kernel block K* holds k(xᵢ, q_c) for every query,
 //     evaluated with exactly Eval(xᵢ, q_c)'s operand order, and each
@@ -444,11 +457,14 @@ func (s *PredictMatrixScratch) resize(n, m, dim int) {
 //     Cholesky factor in one pass, in place once the mean has read it
 //     (mat.ForwardSolveBatch, per-column identical to ForwardSolveInto),
 //     then accumulates Σᵢ v²ᵢ per query in ascending i — mat.Dot's
-//     order — before the clamp and rescale.
+//     order — before the clamp and rescale;
+//   - the prior mean is added from means[c] by the reference's own
+//     expression, and Mean's purity makes means[c] the bits MeanVar
+//     would return if called here.
 //
 // It only reads the GP and is safe to call concurrently with distinct
 // scratch as long as nothing refits the model.
-func (g *GP) PredictMatrix(qs []float64, dim int, mu, sigma []float64, s *PredictMatrixScratch) {
+func (g *GP) PredictMatrix(qs []float64, dim int, means []MeanAt, mu, sigma []float64, s *PredictMatrixScratch) {
 	if g.chol == nil {
 		panic(ErrNoData)
 	}
@@ -458,6 +474,9 @@ func (g *GP) PredictMatrix(qs []float64, dim int, mu, sigma []float64, s *Predic
 	m := len(qs) / dim
 	if len(mu) < m || len(sigma) < m {
 		panic(fmt.Sprintf("gp: PredictMatrix outputs %d,%d < %d queries", len(mu), len(sigma), m))
+	}
+	if (g.mean != nil) != (means != nil) || (means != nil && len(means) < m) {
+		panic(fmt.Sprintf("gp: PredictMatrix given %d prior means for %d queries (mean set: %t)", len(means), m, g.mean != nil))
 	}
 	if m == 0 {
 		return
@@ -492,28 +511,35 @@ func (g *GP) PredictMatrix(qs []float64, dim int, mu, sigma []float64, s *Predic
 		mu[c] = s.muStd[c]*g.yScale + g.yMean
 		sigma[c] = math.Sqrt(variance) * g.yScale
 	}
-	if g.mean != nil {
-		for c := 0; c < m; c++ {
-			pm, pv := g.mean.MeanVar(qs[c*dim : (c+1)*dim])
-			mu[c] += pm
-			// The pv==0 gate matters for bit-identity: Sqrt(sigma²) is not
-			// guaranteed to reproduce sigma, so a confident prior must not
-			// launder the posterior spread through a square/sqrt round trip.
-			if pv > 0 {
-				sigma[c] = math.Sqrt(sigma[c]*sigma[c] + pv)
-			}
+	if means == nil {
+		return
+	}
+	for c, at := range means[:m] {
+		mu[c] += at.Mu
+		// The pv==0 gate matters for bit-identity: Sqrt(sigma²) is not
+		// guaranteed to reproduce sigma, so a confident prior must not
+		// launder the posterior spread through a square/sqrt round trip.
+		if at.Var > 0 {
+			sigma[c] = math.Sqrt(sigma[c]*sigma[c] + at.Var)
 		}
 	}
 }
 
 // Predict returns the posterior mean and standard deviation at x, in the
-// original target units: PredictMatrix on one query.
+// original target units: PredictMatrix on one query, whose one-entry
+// prior column is MeanVar at x.
 func (g *GP) Predict(x []float64) (mu, sigma float64) {
 	var (
 		s         PredictMatrixScratch
 		mus, sigs [1]float64
+		at        [1]MeanAt
+		means     []MeanAt
 	)
-	g.PredictMatrix(x, len(x), mus[:], sigs[:], &s)
+	if g.mean != nil {
+		at[0].Mu, at[0].Var = g.mean.MeanVar(x)
+		means = at[:]
+	}
+	g.PredictMatrix(x, len(x), means, mus[:], sigs[:], &s)
 	return mus[0], sigs[0]
 }
 

@@ -160,14 +160,54 @@ func TestGPMeanPredictMatrixMatchesLoop(t *testing.T) {
 	}
 	mu := make([]float64, len(queries))
 	sigma := make([]float64, len(queries))
+	means := make([]MeanAt, len(queries))
+	for i, q := range queries {
+		means[i].Mu, means[i].Var = prior.MeanVar(q)
+	}
 	var s PredictMatrixScratch
-	g.PredictMatrix(qs, 2, mu, sigma, &s)
+	g.PredictMatrix(qs, 2, means, mu, sigma, &s)
 	var ps PredictScratch
 	for i, q := range queries {
 		wantMu, wantS := g.PredictInto(q, &ps)
 		if mu[i] != wantMu || sigma[i] != wantS {
 			t.Fatalf("query %d: PredictMatrix (%v,%v) != PredictInto (%v,%v)", i, mu[i], sigma[i], wantMu, wantS)
 		}
+		if pm, ps := g.Predict(q); pm != wantMu || ps != wantS {
+			t.Fatalf("query %d: Predict (%v,%v) != PredictInto (%v,%v)", i, pm, ps, wantMu, wantS)
+		}
+	}
+}
+
+// The prior column must match the model: a GP with a mean given no
+// column, a mean-free GP given one, or a column shorter than the query
+// block can only come from a caller bug, and each panics rather than
+// return a posterior that silently drops or invents the prior.
+func TestGPPredictMatrixColumnMismatchPanics(t *testing.T) {
+	x := [][]float64{{0}, {1}, {2}}
+	y := []float64{0, 1, 0}
+	plain := New(NewMatern52(1), 1e-6)
+	withMean := New(NewMatern52(1), 1e-6)
+	withMean.SetMean(funcMean(func(x []float64) (float64, float64) { return x[0], 0.1 }))
+	for _, g := range []*GP{plain, withMean} {
+		if err := g.Fit(x, y); err != nil {
+			t.Fatal(err)
+		}
+	}
+	qs := []float64{0.5, 1.5}
+	mu, sigma := make([]float64, 2), make([]float64, 2)
+	for name, call := range map[string]func(){
+		"mean without column": func() { withMean.PredictMatrix(qs, 1, nil, mu, sigma, &PredictMatrixScratch{}) },
+		"column without mean": func() { plain.PredictMatrix(qs, 1, make([]MeanAt, 2), mu, sigma, &PredictMatrixScratch{}) },
+		"short column":        func() { withMean.PredictMatrix(qs, 1, make([]MeanAt, 1), mu, sigma, &PredictMatrixScratch{}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: PredictMatrix did not panic", name)
+				}
+			}()
+			call()
+		}()
 	}
 }
 

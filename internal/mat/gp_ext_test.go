@@ -42,7 +42,7 @@ func fitCatalog(t *testing.T, n int) []float64 {
 	}
 	mu, sigma := make([]float64, len(all)), make([]float64, len(all))
 	var s gp.PredictMatrixScratch
-	g.PredictMatrix(qs, len(xs[0]), mu, sigma, &s)
+	g.PredictMatrix(qs, len(xs[0]), nil, mu, sigma, &s)
 	out := append(k.Params(), g.Noise(), g.LogMarginalLikelihood())
 	return append(append(out, mu...), sigma...)
 }

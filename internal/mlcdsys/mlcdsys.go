@@ -105,7 +105,7 @@ type Config struct {
 // System is a configured MLCD instance.
 type System struct {
 	catalog  *cloud.Catalog
-	limits   cloud.SpaceLimits
+	space    *cloud.Space
 	searcher search.Searcher
 	provider cloud.Provider
 	sim      *sim.Simulator
@@ -225,7 +225,7 @@ func New(cfg Config) *System {
 	cfg.Resilience = cfg.Resilience.withDefaults()
 	s := &System{
 		catalog:  cfg.Catalog,
-		limits:   cfg.Limits,
+		space:    cloud.NewSpace(cfg.Catalog, cfg.Limits),
 		searcher: cfg.Searcher,
 		provider: cfg.Provider,
 		sim:      cfg.Sim,
@@ -245,8 +245,10 @@ func (s *System) Searcher() search.Searcher { return s.searcher }
 // shows the whole stack.
 func (s *System) Metrics() *obs.Registry { return s.metrics }
 
-// Space returns the deployment space MLCD searches.
-func (s *System) Space() *cloud.Space { return cloud.NewSpace(s.catalog, s.limits) }
+// Space returns the deployment space MLCD searches. It is built once, in
+// New, and shared by every search the System runs — and with the caller:
+// a Space is immutable, and so is the encoding it computes on first use.
+func (s *System) Space() *cloud.Space { return s.space }
 
 // Catalog returns the instance catalog backing the deployment space —
 // needed to re-resolve persisted observations (journal recovery).
@@ -586,7 +588,7 @@ func (s *System) DeployCtx(ctx context.Context, j workload.Job, req Requirements
 		prof = opts.WrapProfiler(prof)
 	}
 	prof = ctxProfiler{ctx: ctx, inner: prof}
-	out, err := searcher.Search(j, s.Space(), scen, searchCons, prof)
+	out, err := searcher.Search(j, s.space, scen, searchCons, prof)
 	if err != nil {
 		return Report{}, fmt.Errorf("mlcdsys: search failed: %w", err)
 	}

@@ -2,11 +2,13 @@ package sched
 
 import (
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"mlcd/internal/cloud"
+	"mlcd/internal/fleetprior"
 	"mlcd/internal/profiler"
 	"mlcd/internal/search"
 	"mlcd/internal/workload"
@@ -33,8 +35,17 @@ import (
 type ProfileCache struct {
 	mu       sync.Mutex
 	entries  map[string]profiler.Result
+	byJob    map[string][]string // job key → its keys in entries, in store order
 	inflight map[string]*flight
 	snap     atomic.Pointer[CacheSnapshot] // shared read-only tier (may be nil)
+
+	// recording turns on the stored-key log its scheduler's fleet-prior
+	// fold drains (startFold, foldStored); added holds the keys first
+	// stored since the last drain, and replaced notes a store over a key
+	// already held. Off, as on every shard, nothing is logged.
+	recording bool
+	added     []string
+	replaced  bool
 
 	hits         int
 	snapshotHits int // subset of hits answered by the shared tier
@@ -49,12 +60,27 @@ type ProfileCache struct {
 // only ever read, so shards consult it without locking.
 type CacheSnapshot struct {
 	entries map[string]profiler.Result
+	byJob   map[string][]string // job key → its keys in entries
 }
 
 // NewCacheSnapshot builds a snapshot from merged entries. The map is
 // owned by the snapshot afterwards; callers must not mutate it.
 func NewCacheSnapshot(entries map[string]profiler.Result) *CacheSnapshot {
-	return &CacheSnapshot{entries: entries}
+	byJob := make(map[string][]string)
+	for key := range entries {
+		job := jobOfKey(key)
+		byJob[job] = append(byJob[job], key)
+	}
+	return &CacheSnapshot{entries: entries, byJob: byJob}
+}
+
+// jobOfKey returns the job part of a cache key: what precedes its first
+// '|'. cacheKey puts the job's String there, which holds no '|'.
+func jobOfKey(key string) string {
+	if i := strings.IndexByte(key, '|'); i >= 0 {
+		return key[:i]
+	}
+	return key
 }
 
 // Len reports how many measurements the snapshot holds.
@@ -75,6 +101,7 @@ type flight struct {
 func NewProfileCache() *ProfileCache {
 	return &ProfileCache{
 		entries:  make(map[string]profiler.Result),
+		byJob:    make(map[string][]string),
 		inflight: make(map[string]*flight),
 		byTenant: make(map[string]float64),
 	}
@@ -85,6 +112,79 @@ func NewProfileCache() *ProfileCache {
 // its display name, so the workload's String form is part of the key.
 func cacheKey(j workload.Job, d cloud.Deployment) string {
 	return j.String() + "|" + d.Key()
+}
+
+// storeLocked is the one place an entry enters the hot map: it indexes a
+// new key under its job and, when recording, logs it for the prior fold.
+// Callers hold c.mu.
+func (c *ProfileCache) storeLocked(key string, res profiler.Result) {
+	_, held := c.entries[key]
+	c.entries[key] = res
+	switch {
+	case !held:
+		job := jobOfKey(key)
+		c.byJob[job] = append(c.byJob[job], key)
+		if c.recording {
+			c.added = append(c.added, key)
+		}
+	case c.recording:
+		// Only a measurement landing on a key a snapshot promotion
+		// filled meanwhile replaces an entry.
+		c.replaced = true
+	}
+}
+
+// startFold folds every entry the cache holds into f and turns on the
+// stored-key log that foldStored drains from then on, so that the fold
+// always holds exactly the entries Export would have returned at the
+// last drain. It reports false, and changes nothing, when the log is
+// already on: one cache feeds at most one fold. A fold is only touched
+// under c.mu.
+func (c *ProfileCache) startFold(f *fleetprior.Fold) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.recording {
+		return false
+	}
+	c.recording = true
+	c.foldAllLocked(f)
+	return true
+}
+
+// foldStored folds the entries first stored since the last drain into f,
+// each as the hot map holds it now, empties the log and reports true. It
+// reports false, folding nothing, when an entry was replaced meanwhile:
+// f then holds a sample the cache no longer has, and the caller refolds
+// the whole cache into a fresh fold.
+func (c *ProfileCache) foldStored(f *fleetprior.Fold) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.replaced {
+		return false
+	}
+	for _, key := range c.added {
+		f.Add(key, c.entries[key])
+	}
+	c.added = c.added[:0]
+	return true
+}
+
+// refold folds every entry the cache holds into f, a fresh fold, and
+// empties the log.
+func (c *ProfileCache) refold(f *fleetprior.Fold) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.foldAllLocked(f)
+}
+
+// foldAllLocked folds every entry into f and empties the log. Callers
+// hold c.mu.
+func (c *ProfileCache) foldAllLocked(f *fleetprior.Fold) {
+	for key, res := range c.entries {
+		f.Add(key, res)
+	}
+	c.added = c.added[:0]
+	c.replaced = false
 }
 
 // Do returns the measurement for (j, d), measuring at most once: a
@@ -107,7 +207,7 @@ func (c *ProfileCache) Do(j workload.Job, d cloud.Deployment, tenant string, mea
 			// Shared-tier hit: another shard paid for this measurement.
 			// Promote it so later lookups (and the next snapshot merge)
 			// see it locally.
-			c.entries[key] = res
+			c.storeLocked(key, res)
 			c.creditLocked(res, tenant)
 			c.snapshotHits++
 			c.mu.Unlock()
@@ -131,7 +231,7 @@ func (c *ProfileCache) Do(j workload.Job, d cloud.Deployment, tenant string, mea
 
 	c.mu.Lock()
 	if !f.res.Failed {
-		c.entries[key] = f.res
+		c.storeLocked(key, f.res)
 	}
 	delete(c.inflight, key)
 	c.mu.Unlock()
@@ -155,7 +255,7 @@ func (c *ProfileCache) Prime(j workload.Job, res profiler.Result) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.entries[key]; !ok && !res.Failed {
-		c.entries[key] = res
+		c.storeLocked(key, res)
 	}
 }
 
@@ -163,27 +263,26 @@ func (c *ProfileCache) Prime(j workload.Job, res profiler.Result) {
 // shared snapshot merged, hot entries winning — as warm-start
 // observations, in deterministic (type, nodes) order. OOM probes
 // (throughput 0) are included — they teach the searcher its memory
-// bounds for free.
+// bounds for free. Each tier is read through its per-job key index, so
+// the cost follows j's own entries, not the cache's size.
 func (c *ProfileCache) Observations(j workload.Job) []search.Observation {
-	prefix := j.String() + "|"
+	job := j.String()
 	snap := c.snap.Load()
 	c.mu.Lock()
 	var obs []search.Observation
-	seen := make(map[string]bool, len(c.entries))
-	for key, res := range c.entries {
-		if len(key) > len(prefix) && key[:len(prefix)] == prefix {
-			seen[key] = true
-			obs = append(obs, search.Observation{Deployment: res.Deployment, Throughput: res.Throughput})
-		}
+	for _, key := range c.byJob[job] {
+		res := c.entries[key]
+		obs = append(obs, search.Observation{Deployment: res.Deployment, Throughput: res.Throughput})
 	}
-	c.mu.Unlock()
 	if snap != nil {
-		for key, res := range snap.entries {
-			if len(key) > len(prefix) && key[:len(prefix)] == prefix && !seen[key] {
+		for _, key := range snap.byJob[job] {
+			if _, hot := c.entries[key]; !hot {
+				res := snap.entries[key]
 				obs = append(obs, search.Observation{Deployment: res.Deployment, Throughput: res.Throughput})
 			}
 		}
 	}
+	c.mu.Unlock()
 	sort.Slice(obs, func(a, b int) bool {
 		if obs[a].Deployment.Type.Name != obs[b].Deployment.Type.Name {
 			return obs[a].Deployment.Type.Name < obs[b].Deployment.Type.Name

@@ -111,7 +111,9 @@ type Config struct {
 	// shared registry.
 	ShardLabel string
 	// Cache is the shared profiling cache (nil → a fresh one). Passing
-	// one in lets several schedulers — or tests — share measurements.
+	// one in lets several schedulers — or tests — share measurements; at
+	// most one of them may set FleetPrior, since that scheduler's prior
+	// rebuild consumes the cache's log of stored entries.
 	Cache *ProfileCache
 	// ProfilerMiddleware, when non-nil, wraps the measuring profiler
 	// *inside* the cache: it sees only real measurements, never cache
@@ -189,11 +191,14 @@ type Scheduler struct {
 	// s.mu. The shard plane reads it to detect a dying disk.
 	journalErrStreak atomic.Int64
 
-	// fleetOn gates this scheduler's own prior rebuilds; fleet holds the
-	// current prior (nil until one is learned or installed). Atomic so
-	// the plane's merge loop can publish a fleet-wide prior while
-	// workers arm searches with it.
-	fleetOn bool
+	// fold is this scheduler's own prior rebuild, nil unless
+	// Config.FleetPrior is set: the profile cache's entries folded in as
+	// they are stored, guarded by mu; resolve attributes them. fleet
+	// holds the current prior (nil until one is learned or installed).
+	// Atomic so the plane's merge loop can publish a fleet-wide prior
+	// while workers arm searches with it.
+	fold    *fleetprior.Fold
+	resolve fleetprior.Resolver
 	fleet   atomic.Pointer[fleetprior.Prior]
 
 	mu       sync.Mutex
@@ -230,6 +235,7 @@ type schedMetrics struct {
 	compactSeconds  *obs.Histogram
 	fleetPriorKeys  *obs.Gauge
 	fleetArmed      *obs.Counter
+	fleetRebuild    *obs.Histogram
 }
 
 // shardLabels renders the label set metrics of one shard carry: empty
@@ -276,6 +282,8 @@ func registerSchedMetrics(reg *obs.Registry, shard string) schedMetrics {
 			"(family, instance type) transfer curves in the current fleet meta-prior.", ls...),
 		fleetArmed: reg.Counter("mlcd_sched_fleet_prior_armed_total",
 			"Searches started with a fleet meta-prior on the surrogate.", ls...),
+		fleetRebuild: reg.Histogram("mlcd_sched_fleet_prior_rebuild_seconds",
+			"Wall-clock latency of one fleet-prior rebuild: folding the cache's new entries in and publishing.", nil, ls...),
 	}
 }
 
@@ -362,7 +370,6 @@ func Recover(sys *mlcdsys.System, cfg Config) (*Scheduler, error) {
 		m:        registerSchedMetrics(sys.Metrics(), cfg.ShardLabel),
 		jobs:     make(map[string]*job),
 		tenants:  make(map[string]bool),
-		fleetOn:  cfg.FleetPrior,
 	}
 	s.m.workers.Set(float64(cfg.Workers))
 
@@ -388,10 +395,26 @@ func Recover(sys *mlcdsys.System, cfg Config) (*Scheduler, error) {
 		recovered = s.absorb(state)
 	}
 
-	if s.fleetOn {
-		// Replayed probes are already in the cache; learn from them now so
-		// the first search after a restart starts fleet-warm.
-		s.RebuildFleetPrior()
+	if cfg.FleetPrior {
+		// The fold starts from every entry the cache holds — replayed
+		// probes included — and from here on drains what it stores. The
+		// first rebuild runs now, so the first search after a restart
+		// starts fleet-warm.
+		jobs := make([]workload.Job, 0, len(s.menu))
+		for _, j := range s.menu {
+			jobs = append(jobs, j)
+		}
+		s.resolve = fleetprior.MenuResolver(jobs)
+		fold := fleetprior.NewFold(s.resolve)
+		start := time.Now()
+		if !s.cache.startFold(fold) {
+			if s.journal != nil {
+				_ = s.journal.Close()
+			}
+			return nil, errors.New("sched: Config.Cache already feeds another scheduler's fleet prior")
+		}
+		s.fold = fold
+		s.publishFleetPrior(start)
 	}
 
 	size := cfg.QueueSize
@@ -506,14 +529,34 @@ func (s *Scheduler) SetFleetPrior(p *fleetprior.Prior) {
 // or failed. A no-op unless Config.FleetPrior is set, so a shard never
 // replaces the prior its plane published.
 func (s *Scheduler) RebuildFleetPrior() {
-	if !s.fleetOn {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.rebuildFleetPriorLocked()
+}
+
+// rebuildFleetPriorLocked folds the entries the cache stored since the
+// last rebuild into the fold and publishes its prior: byte for byte
+// fleetprior.BuildFromCache over the cache's Export at this instant,
+// with only the families those entries touch rebuilt (all of them after
+// the rare replaced entry, which refolds the cache). The wall-clock cost
+// lands on /metrics. Callers hold s.mu.
+func (s *Scheduler) rebuildFleetPriorLocked() {
+	if s.fold == nil {
 		return
 	}
-	jobs := make([]workload.Job, 0, len(s.menu))
-	for _, j := range s.menu {
-		jobs = append(jobs, j)
+	start := time.Now()
+	if !s.cache.foldStored(s.fold) {
+		s.fold = fleetprior.NewFold(s.resolve)
+		s.cache.refold(s.fold)
 	}
-	s.SetFleetPrior(fleetprior.BuildFromCache(s.cache.Export(), fleetprior.MenuResolver(jobs)))
+	s.publishFleetPrior(start)
+}
+
+// publishFleetPrior installs the fold's prior and times the rebuild that
+// began at start. Callers hold s.mu, or own s alone (Recover).
+func (s *Scheduler) publishFleetPrior(start time.Time) {
+	s.SetFleetPrior(s.fold.Prior())
+	s.m.fleetRebuild.Observe(time.Since(start).Seconds())
 }
 
 // scenarioName renders the scenario a requirement set maps to ("" when
@@ -842,10 +885,12 @@ func (s *Scheduler) runJob(rec *job) {
 	}
 	// The search's paid probes are in the cache now, whether it picked a
 	// deployment or declined; fold them into the prior so the next
-	// tenant starts warmer. A shard skips this: its plane's next merge
-	// publishes the probes fleet-wide.
+	// tenant starts warmer. It happens here, under s.mu and before the
+	// status is visible, so a client that reads done reads a prior that
+	// already holds the job's probes. A shard skips this: its plane's
+	// next merge publishes the probes fleet-wide.
 	if rec.status == StatusDone || rec.status == StatusFailed {
-		s.RebuildFleetPrior()
+		s.rebuildFleetPriorLocked()
 	}
 }
 

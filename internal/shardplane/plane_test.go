@@ -3,6 +3,7 @@ package shardplane
 import (
 	"fmt"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"mlcd/internal/cloud"
 	"mlcd/internal/fleetprior"
 	"mlcd/internal/mlcdsys"
+	"mlcd/internal/obs"
 	"mlcd/internal/profiler"
 	"mlcd/internal/sched"
 	"mlcd/internal/workload"
@@ -274,7 +276,8 @@ func TestCrossShardWarmStartSurvivesReshard(t *testing.T) {
 // Plane.FleetPrior, which GET /v1/fleet serves — rather than replace it
 // with a prior rebuilt from that shard's own cache until the next merge.
 func TestMergedFleetPriorSurvivesShardJobs(t *testing.T) {
-	p, err := New(newTestSystem(t), Config{Shards: 2, Workers: 1, MergeEvery: -1, FleetPrior: true})
+	sys := newTestSystem(t)
+	p, err := New(sys, Config{Shards: 2, Workers: 1, MergeEvery: -1, FleetPrior: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,6 +313,14 @@ func TestMergedFleetPriorSurvivesShardJobs(t *testing.T) {
 	} {
 		if got != merged {
 			t.Errorf("%s prior = %+v after a shard-0 job, want the merged %+v", name, got.Stats(), merged.Stats())
+		}
+	}
+	// Nor does a shard rebuild a prior of its own in the background: its
+	// rebuild histogram stays empty through every job.
+	for i := 0; i < 2; i++ {
+		h := sys.Metrics().Histogram("mlcd_sched_fleet_prior_rebuild_seconds", "", nil, obs.L{Key: "shard", Value: strconv.Itoa(i)})
+		if n := h.Count(); n != 0 {
+			t.Errorf("shard %d timed %d prior rebuilds, want none", i, n)
 		}
 	}
 }

@@ -4,11 +4,12 @@
 # Diffs the fresh benchmark record against the committed previous one
 # and fails when BenchmarkHeterBOSearch or BenchmarkNextCandidate — the
 # two timings the flattening work is accountable for — slowed by more
-# than 10%. Four pairs are gated within the fresh record, on one
-# machine: the journal's FS indirection over a direct append, and each
+# than 10%. Five pairs are gated within the fresh record, on one
+# machine: the journal's FS indirection over a direct append, each
 # four-lane kernel over its scalar path — the Matérn map, the lockstep
 # Cholesky factor and solve, and the ARD distances (a kernel may never
-# be slower).
+# be slower) — and the scheduler's fleet-prior fold over the full
+# rebuild it replaced.
 # scripts/bench.sh runs each pair's two benchmarks together in ten
 # rounds. Duplicate rows in either record collapse by min before
 # comparison (BENCH_PR4.json predates the deduplication and carries
@@ -30,4 +31,5 @@ go run ./cmd/benchgate compare -old "$OLD" -new "$NEW" \
 	-pair BenchmarkMaternScalar=BenchmarkMaternBatch \
 	-pair BenchmarkLaneCholeskyScalar=BenchmarkLaneCholesky \
 	-pair BenchmarkARDScalar=BenchmarkARDLanes \
+	-pair BenchmarkRebuildFleetPriorFull=BenchmarkRebuildFleetPrior \
 	-max-overhead-pct 2 -overhead-floor-ns 500
